@@ -262,6 +262,9 @@ type job struct {
 	// queued marks the job as sitting in the scheduler, so the coordinator
 	// rescan never double-enqueues it.
 	queued bool
+	// clock times the open pipeline stage of the current run; start resets
+	// it and the terminal event closes it.
+	clock stageTimer
 }
 
 // normalizeTenant maps the empty tenant (pre-fleet journals, direct
@@ -341,56 +344,34 @@ func (j *job) journalErr() error {
 	return jw.Err()
 }
 
-// newJobFromReplay rebuilds a job from its journal. The replayed event
-// history is kept verbatim so streamers see the job's full life across
-// restarts; resumable jobs additionally get a "recovered" marker event
-// (journaled by the caller once the journal is reattached).
+// newJobFromReplay rebuilds a job from its journal: the identity fields
+// here, everything a later replay can change through adoptReplay. The
+// replayed event history is kept verbatim so streamers see the job's full
+// life across restarts.
 func newJobFromReplay(rj *replayedJob) *job {
 	j := &job{
 		id:       rj.id,
 		hash:     rj.hash,
 		req:      rj.req,
-		state:    rj.state,
-		stage:    rj.stage,
 		created:  rj.created,
 		changed:  make(chan struct{}),
-		events:   rj.events,
-		result:   rj.result,
-		report:   rj.report,
-		errMsg:   rj.errMsg,
-		resume:   rj.checkpoint,
-		lastCP:   rj.checkpoint,
 		manifest: rj.manifest,
-		restarts: rj.starts,
+		tenant:   DefaultTenant,
 		// A corrupt journal with a still-readable result can serve its
 		// output; anything else corrupt cannot, ever again.
-		tombstone:  rj.corrupt && rj.result == nil,
-		owner:      rj.owner,
-		leaseEpoch: rj.leaseEpoch,
+		tombstone: rj.corrupt && rj.result == nil,
 	}
 	if rj.req != nil {
 		j.devices = len(rj.req.Configs)
 		j.tenant = normalizeTenant(rj.req.Tenant)
-	} else {
-		j.tenant = DefaultTenant
-	}
-	if j.hash == "" && rj.req != nil {
-		j.hash = rj.req.hash()
-	}
-	if j.manifest == nil && rj.req != nil {
-		j.manifest = manifestOf(rj.req.Configs)
-	}
-	for _, e := range rj.events {
-		switch {
-		case e.Message == "started" && j.started.IsZero():
-			j.started = e.Time
-		case e.State.Terminal():
-			j.finished = e.Time
+		if j.hash == "" {
+			j.hash = rj.req.hash()
 		}
-		if e.BaseJob != "" {
-			j.baseJob, j.reusedStages = e.BaseJob, e.ReusedStages
+		if j.manifest == nil {
+			j.manifest = manifestOf(rj.req.Configs)
 		}
 	}
+	j.adoptReplay(rj)
 	return j
 }
 
@@ -451,21 +432,14 @@ func (j *job) inQueue() bool {
 	return j.queued
 }
 
-// adoptReplay refreshes a known job in place from a fresh journal replay —
-// the coordinator path for jobs another node progressed or finished. The
-// in-place update (same *job, same changed-channel protocol) keeps local
-// event streamers attached across the adoption. Running or locally
-// terminal jobs are left untouched: local truth wins for jobs this node
-// owns, and requeued is the one terminal state adoption may overwrite.
+// adoptReplay sets a job's replayable state from its journal — for a new
+// record, or in place for a known job another node progressed or finished.
+// The in-place update (same *job, same changed-channel protocol) keeps
+// local event streamers attached across the adoption. Callers never adopt
+// into a job queued, running, or finished here: reconcile skips those.
 func (j *job) adoptReplay(rj *replayedJob) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == StateRunning || j.state == StateDraining {
-		return
-	}
-	if j.state.Terminal() && j.state != StateRequeued && !rj.state.Terminal() {
-		return
-	}
 	if len(rj.events) < len(j.events) {
 		// The disk replay is behind what this node already saw (a racing
 		// append); adopting it would rewind streamers.
@@ -490,6 +464,9 @@ func (j *job) adoptReplay(rj *replayedJob) {
 		case e.State.Terminal():
 			j.finished = e.Time
 		}
+		if e.BaseJob != "" {
+			j.baseJob, j.reusedStages = e.BaseJob, e.ReusedStages
+		}
 	}
 	close(j.changed)
 	j.changed = make(chan struct{})
@@ -511,8 +488,25 @@ func (j *job) noteDraining() {
 }
 
 // isTombstone reports whether the job's output was lost to journal
-// corruption (set only at replay, so no lock is needed after Open).
+// corruption (set only before the store publishes a replayed job, so no
+// lock is needed).
 func (j *job) isTombstone() bool { return j.tombstone }
+
+// setResume makes cp the checkpoint the next run resumes from, and the
+// newest one the job retains.
+func (j *job) setResume(cp *confmask.Checkpoint) {
+	j.mu.Lock()
+	j.resume, j.lastCP = cp, cp
+	j.mu.Unlock()
+}
+
+// resumePoint returns the checkpoint the next run resumes from, nil when
+// it starts from scratch.
+func (j *job) resumePoint() *confmask.Checkpoint {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.resume
+}
 
 // setLastCheckpoint retains the newest pipeline checkpoint in memory so the
 // job can later serve as an incremental base even without a journal.
@@ -564,10 +558,9 @@ func (j *job) isDraining() bool {
 	return j.draining
 }
 
-// setProgress records a pipeline stage transition as an event; prevStage
-// and prevDur describe the stage the transition closed (prevStage "" when
-// none, e.g. the first stage or an iteration within one stage).
-func (j *job) setProgress(stage string, iteration int, prevStage string, prevDur time.Duration, prevAlloc uint64) {
+// setProgress records a pipeline stage transition as an event; the event
+// that opens a new stage also closes the previous stage's clock.
+func (j *job) setProgress(stage string, iteration int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -575,58 +568,54 @@ func (j *job) setProgress(stage string, iteration int, prevStage string, prevDur
 	}
 	j.stage, j.iteration = stage, iteration
 	e := Event{State: j.state, Stage: stage, Iteration: iteration}
-	if prevStage != "" {
-		e.PrevStage, e.PrevStageMS = prevStage, prevDur.Milliseconds()
-		e.PrevStageAllocBytes = prevAlloc
-	}
+	j.clock.transition(&e, stage, time.Now())
 	j.appendEventLocked(e)
 }
 
-// start transitions queued → running; it returns false when the job was
+// start transitions queued → running with a fresh stage clock feeding m's
+// stage histograms. It returns false, changing nothing, when the job was
 // cancelled while still in the queue.
-func (j *job) start(cancel func(), now time.Time) bool {
+func (j *job) start(cancel func(), m *metrics) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.cancelRequested {
-		j.state = StateCancelled
-		j.finished = now
-		j.errMsg = "cancelled before start"
-		j.appendEventLocked(Event{State: StateCancelled, Message: "cancelled before start", Time: now})
 		return false
 	}
 	j.state = StateRunning
-	j.started = now
+	j.started = time.Now()
 	j.cancel = cancel
-	j.appendEventLocked(Event{State: StateRunning, Message: "started", Time: now})
+	j.clock = stageTimer{m: m}
+	j.appendEventLocked(Event{State: StateRunning, Message: "started", Time: j.started})
 	return true
 }
 
-// finish records the terminal state once the pipeline returned; prevStage
-// and prevDur close the last open pipeline stage ("" when none ran).
-func (j *job) finish(state State, result map[string]string, report *confmask.Report, errMsg string, now time.Time, prevStage string, prevDur time.Duration, prevAlloc uint64) {
+// finish records a terminal outcome; its event closes the last open
+// pipeline stage. Server.settle is the only caller.
+func (j *job) finish(o outcome, result map[string]string, report *confmask.Report) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
+	now := time.Now()
+	j.state = o.state
 	j.finished = now
 	j.result = result
 	j.report = report
-	j.errMsg = errMsg
+	j.errMsg = o.reason
 	j.stage, j.iteration = "", 0
 	j.cancel = nil
-	e := Event{State: state, Time: now}
-	if prevStage != "" {
-		e.PrevStage, e.PrevStageMS = prevStage, prevDur.Milliseconds()
-		e.PrevStageAllocBytes = prevAlloc
-	}
-	switch state {
+	e := Event{State: o.state, Time: now}
+	j.clock.transition(&e, "", now)
+	switch o.state {
 	case StateDone:
 		e.Message = "done"
 	case StateCancelled:
 		e.Message = "cancelled"
+		if o.reason == cancelledBeforeStart {
+			e.Message = o.reason
+		}
 	case StateRequeued:
 		e.Message = "requeued: will resume at next daemon start"
 	default:
-		e.Error = errMsg
+		e.Error = o.reason
 	}
 	j.appendEventLocked(e)
 }

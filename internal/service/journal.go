@@ -2,13 +2,13 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,9 +35,10 @@ import (
 // event to a crash costs nothing — the job restarts or resumes anyway —
 // while losing a state transition could strand or duplicate a job.
 //
-// On startup the service replays every job directory: terminal jobs become
-// queryable records, queued jobs re-enqueue, and running/draining/requeued
-// jobs restart — from their last stage checkpoint when one exists.
+// The service reconciles every job directory at startup and again on every
+// coordinator rescan (Server.reconcile): terminal jobs become queryable
+// records, and queued/running/draining/requeued jobs no live foreign lease
+// protects restart — from their last stage checkpoint when one exists.
 
 // retryPolicy retries transient I/O with capped exponential backoff plus
 // full jitter. All journal and checkpoint writes go through it.
@@ -412,28 +413,8 @@ type replayedJob struct {
 	corrupt bool
 }
 
-// replay scans every job directory and reconstructs job states, sorted by
-// job ID (submission order). A truncated final line — the signature of a
-// crash mid-append — is tolerated and ignored.
-func (jl *journal) replay() ([]*replayedJob, error) {
-	entries, err := os.ReadDir(jl.root)
-	if err != nil {
-		return nil, fmt.Errorf("journal replay: %w", err)
-	}
-	var out []*replayedJob
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		rj := jl.replayOne(e.Name())
-		if rj != nil {
-			out = append(out, rj)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	return out, nil
-}
-
+// replayOne reconstructs one job from its directory. A truncated final
+// line — the signature of a crash mid-append — is tolerated and ignored.
 func (jl *journal) replayOne(id string) *replayedJob {
 	dir := jl.jobDir(id)
 	rj := &replayedJob{id: id, state: StateQueued}
@@ -443,27 +424,23 @@ func (jl *journal) replayOne(id string) *replayedJob {
 		rj.errMsg = fmt.Sprintf("journal unreadable: %v", err)
 		return rj
 	}
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		data = data[:bytes.LastIndexByte(data, '\n')+1] // torn tail from a crash mid-append
+	}
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
-	complete := strings.HasSuffix(string(data), "\n")
-	var lines []string
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if !complete && len(lines) > 0 {
-		lines = lines[:len(lines)-1] // torn tail from a crash mid-append
-	}
-	for i, line := range lines {
-		if strings.TrimSpace(line) == "" {
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal(line, &rec); err != nil {
 			// A torn or corrupted interior line: everything before it is
 			// trustworthy, everything after it is not.
 			if rj.req == nil {
 				rj.corrupt = true
-				rj.errMsg = fmt.Sprintf("journal line %d corrupt: %v", i+1, err)
+				rj.errMsg = fmt.Sprintf("journal line %d corrupt: %v", n, err)
 				return rj
 			}
 			break

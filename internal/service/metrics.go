@@ -154,13 +154,13 @@ func heapInuse() uint64 {
 	return ms.HeapInuse
 }
 
-// stageTimer turns the pipeline's progress callbacks into per-stage
-// duration and allocation samples: each transition closes the previous
-// stage's clock and allocation window. One timer lives per job run, called
-// only from that job's worker goroutine. The allocation delta is
-// process-wide TotalAlloc, so concurrent jobs bleed into each other's
-// numbers — the event field documents this; exact per-stage attribution
-// comes from the pipeline's own Report.StageAlloc.
+// stageTimer is a job run's open-stage clock: each transition closes the
+// previous stage's wall-clock and allocation window into the stage
+// histogram and onto the event that reports the transition (the prev_stage
+// fields). The job owns it and calls it under its lock. The allocation
+// delta is process-wide TotalAlloc, so concurrent jobs bleed into each
+// other's numbers — the event field documents this; exact per-stage
+// attribution comes from the pipeline's own Report.StageAlloc.
 type stageTimer struct {
 	m     *metrics
 	stage string
@@ -168,25 +168,19 @@ type stageTimer struct {
 	alloc uint64
 }
 
-// transition switches the open stage clock, returning the stage it closed,
-// its wall-clock duration, and the bytes allocated while it was open (""
-// when no stage ended) so callers can put the sample on the job's event
-// log as well.
-func (t *stageTimer) transition(stage string, now time.Time) (closed string, d time.Duration, alloc uint64) {
+// transition switches the open stage clock to stage ("" closes it without
+// opening another), stamping e with the closed stage's sample when the
+// stage changed.
+func (t *stageTimer) transition(e *Event, stage string, now time.Time) {
 	if t.stage == stage {
-		return "", 0, 0 // equivalence iterations stay within one stage clock
+		return // equivalence iterations stay within one stage clock
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if t.stage != "" {
-		closed, d, alloc = t.stage, now.Sub(t.start), ms.TotalAlloc-t.alloc
-		t.m.observeStage(closed, d)
+		d := now.Sub(t.start)
+		e.PrevStage, e.PrevStageMS, e.PrevStageAllocBytes = t.stage, d.Milliseconds(), ms.TotalAlloc-t.alloc
+		t.m.observeStage(t.stage, d)
 	}
 	t.stage, t.start, t.alloc = stage, now, ms.TotalAlloc
-	return closed, d, alloc
-}
-
-// finish closes the clock of the last open stage.
-func (t *stageTimer) finish(now time.Time) (closed string, d time.Duration, alloc uint64) {
-	return t.transition("", now)
 }

@@ -51,9 +51,6 @@ type Config struct {
 	// structured reason. Default 10 minutes; ≤ 0 keeps the default, so
 	// the watchdog is always on (JobTimeout still caps the whole job).
 	StageTimeout time.Duration
-	// MaxStageIterations caps Algorithm 1 / repair iterations within one
-	// stage before the watchdog declares the job divergent. Default 10000.
-	MaxStageIterations int
 	// MaxRestarts caps how many daemon starts may execute one job before
 	// replay gives up and fails it — the defense against poison jobs that
 	// crash the daemon deterministically. Default 3.
@@ -109,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.StageTimeout <= 0 {
 		c.StageTimeout = 10 * time.Minute
 	}
-	if c.MaxStageIterations <= 0 {
-		c.MaxStageIterations = 10000
-	}
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 3
 	}
@@ -156,9 +150,9 @@ type Server struct {
 	cfg     Config
 	store   *store
 	metrics *metrics
-	journal *journal                // nil without a DataDir
-	leases  *cluster.Manager        // nil without a DataDir
-	limiter *cluster.RateLimiter    // nil when TenantRate is 0
+	journal *journal             // nil without a DataDir
+	leases  *cluster.Manager     // nil without a DataDir
+	limiter *cluster.RateLimiter // nil when TenantRate is 0
 	sched   *cluster.Scheduler[*job]
 	quit    chan struct{}
 	workers sync.WaitGroup
@@ -187,11 +181,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Open builds a Server, replays the journal when cfg.DataDir is set, and
-// starts the worker pool. Jobs found queued, running, draining, or
-// requeued in the journal re-enter the queue (resuming from their last
-// stage checkpoint); jobs already run by cfg.MaxRestarts prior daemons
-// fail instead of crash-looping.
+// Open builds a Server, reconciles every journaled job when cfg.DataDir is
+// set — the same pass the coordinator repeats on every rescan — and starts
+// the worker pool. Jobs found queued, running, draining, or requeued in the
+// journal re-enter the queue (resuming from their last stage checkpoint)
+// unless another node's live lease protects them; jobs already run by
+// cfg.MaxRestarts prior daemons fail instead of crash-looping.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -218,14 +213,8 @@ func Open(cfg Config) (*Server, error) {
 		}
 		s.journal = jl
 		s.leases = cluster.NewManager(cfg.NodeID, cfg.LeaseTTL)
-		backlog, err := s.replayJournal()
-		if err != nil {
+		if err := s.reconcileAll(true); err != nil {
 			return nil, err
-		}
-		// Replayed jobs exist durably already: they bypass the capacity
-		// bound, which only sheds load from fresh submissions.
-		for _, j := range backlog {
-			s.enqueue(j, true)
 		}
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -268,58 +257,6 @@ func (s *Server) enqueue(j *job, force bool) bool {
 		j.setInQueue(false)
 	}
 	return ok
-}
-
-// replayJournal rebuilds the store from the journal and returns the jobs
-// that must run (again). Terminal jobs become queryable records; corrupt
-// journals surface as failed jobs rather than vanishing.
-func (s *Server) replayJournal() ([]*job, error) {
-	replayed, err := s.journal.replay()
-	if err != nil {
-		return nil, err
-	}
-	var backlog []*job
-	for _, rj := range replayed {
-		j := newJobFromReplay(rj)
-		switch {
-		case rj.corrupt && rj.req == nil:
-			// Not even the submission survived; keep a queryable tombstone.
-			j.state = StateFailed
-			s.store.put(j, false)
-			s.metrics.JournalErrors.Add(1)
-		case rj.state == StateDone, rj.state == StateFailed, rj.state == StateCancelled:
-			s.store.put(j, rj.state == StateDone)
-			if rj.corrupt {
-				s.metrics.JournalErrors.Add(1)
-			}
-		default: // queued, running, draining, requeued → run again
-			if lease, err := s.leases.Read(s.journal.jobDir(j.id)); err == nil && !s.leases.Claimable(lease) {
-				// Another node's live lease: the job is running elsewhere.
-				// Register it read-only; the coordinator requeues it here
-				// only if that lease expires or is released unfinished.
-				s.store.put(j, true)
-				continue
-			}
-			jw, err := s.journal.open(j.id)
-			if err != nil {
-				return nil, err
-			}
-			j.reattachJournal(jw)
-			if j.restarts >= s.cfg.MaxRestarts {
-				j.finish(StateFailed, nil, nil, fmt.Sprintf(
-					"job ran in %d daemon starts without completing (max %d); giving up",
-					j.restarts, s.cfg.MaxRestarts), time.Now(), "", 0, 0)
-				s.store.put(j, false)
-				s.metrics.JobsFailed.Add(1)
-				continue
-			}
-			j.markRecovered()
-			s.store.put(j, true)
-			s.metrics.JobsRecovered.Add(1)
-			backlog = append(backlog, j)
-		}
-	}
-	return backlog, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -378,13 +315,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		j.setInQueue(false)
 		if s.journal != nil {
 			j.noteDraining()
-			j.finish(StateRequeued, nil, nil, "", time.Now(), "", 0, 0)
-			s.metrics.JobsRequeued.Add(1)
+			s.settle(j, outcome{state: StateRequeued}, nil, nil)
 		} else {
 			j.requestCancel()
-			j.finish(StateCancelled, nil, nil, "server shutting down", time.Now(), "", 0, 0)
-			s.store.unindexHash(j)
-			s.metrics.JobsCancelled.Add(1)
+			s.settle(j, outcome{StateCancelled, "server shutting down"}, nil, nil)
 		}
 	}
 	s.store.closeJournals()
@@ -400,7 +334,6 @@ func (s *Server) worker() {
 			return // scheduler closed: shutting down
 		}
 		s.metrics.QueueDepth.Add(-1)
-		j.setInQueue(false)
 		s.run(j)
 		s.sched.Done(tenant)
 	}
@@ -428,112 +361,108 @@ func (s *Server) coordinator() {
 // operators via future endpoints) can drive takeover deterministically
 // instead of waiting out the rescan ticker.
 func (s *Server) Rescan() {
-	if s.journal == nil || s.leases == nil {
-		return
+	if s.journal != nil {
+		_ = s.reconcileAll(false)
 	}
-	s.mu.Lock()
-	if s.shuttingDown {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
+}
+
+// reconcileAll reconciles every job directory in ID (submission) order.
+// At startup the first error fails Open; a rescan skips the directory and
+// retries it on the next pass.
+func (s *Server) reconcileAll(startup bool) error {
 	entries, err := os.ReadDir(s.journal.root)
 	if err != nil {
-		return
+		return fmt.Errorf("journal replay: %w", err)
 	}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		s.rescanJob(e.Name())
+		if err := s.reconcile(e.Name(), startup); err != nil && startup {
+			return err
+		}
 	}
+	return nil
 }
 
-// rescanJob reconciles one job directory against this node's store.
-func (s *Server) rescanJob(id string) {
+// reconcile decides what this node does with one journaled job, the same
+// way at startup and on every rescan: adopt a terminal record, leave a job
+// a live foreign lease protects to its owner, fail a job that already ran
+// in MaxRestarts daemon starts, or requeue it here. Only the counters
+// differ: a startup requeue is a recovery, a rescan requeue a takeover.
+func (s *Server) reconcile(id string, startup bool) error {
+	// The queue is checked before the running set: claim registers a job as
+	// running before it leaves the queue, so one of the two checks sees it.
+	j, known := s.store.get(id)
+	if known {
+		if st := j.status().State; j.isTombstone() || j.inQueue() || st.Terminal() && st != StateRequeued {
+			return nil
+		}
+	}
 	s.mu.Lock()
 	_, runningHere := s.running[id]
 	down := s.shuttingDown
 	s.mu.Unlock()
 	if runningHere || down {
-		return
-	}
-	j, known := s.store.get(id)
-	if known {
-		if j.isTombstone() || j.inQueue() {
-			return
-		}
-		if st := j.status(); st.State.Terminal() && st.State != StateRequeued {
-			return
-		}
+		return nil
 	}
 	rj := s.journal.replayOne(id)
-	if rj == nil {
-		return
-	}
 	if rj.corrupt && rj.req == nil {
 		if !known {
+			// Not even the submission survived; keep a queryable tombstone.
 			j = newJobFromReplay(rj)
 			j.state = StateFailed
 			s.store.put(j, false)
 			s.metrics.JournalErrors.Add(1)
 		}
-		return
-	}
-	if !known {
-		j = newJobFromReplay(rj)
-	}
-	if rj.state.Terminal() && rj.state != StateRequeued {
-		// Another node finished it: adopt the terminal record so status,
-		// result, and dedup answer here too.
-		if known {
-			j.adoptReplay(rj)
-		}
-		s.store.put(j, rj.state == StateDone)
-		return
-	}
-	// Non-terminal on disk and not running here: claimable means the owner
-	// crashed (expired), drained (released), or the job never ran. Requeue
-	// on this node; an unexpired foreign lease leaves it alone.
-	dir := s.journal.jobDir(id)
-	lease, err := s.leases.Read(dir)
-	if err != nil {
-		return
-	}
-	if !s.leases.Claimable(lease) {
-		if known {
-			j.adoptReplay(rj)
-		}
-		s.store.put(j, true)
-		return
+		return nil
 	}
 	if known {
 		j.adoptReplay(rj)
+	} else {
+		j = newJobFromReplay(rj)
 	}
-	if j.restarts >= s.cfg.MaxRestarts {
-		if !known {
-			j.finish(StateFailed, nil, nil, fmt.Sprintf(
-				"job ran in %d daemon starts without completing (max %d); giving up",
-				j.restarts, s.cfg.MaxRestarts), time.Now(), "", 0, 0)
-			s.store.put(j, false)
-			s.metrics.JobsFailed.Add(1)
+	if rj.state.Terminal() && rj.state != StateRequeued {
+		s.store.put(j, rj.state == StateDone)
+		if rj.corrupt {
+			s.metrics.JournalErrors.Add(1)
 		}
-		return
+		return nil
 	}
-	if expired := lease.Epoch > 0 && !lease.Released; expired {
-		s.metrics.LeasesExpired.Add(1)
+	// Non-terminal on disk and not running here. A live foreign lease means
+	// the job runs elsewhere: register it read-only, and a later rescan
+	// requeues it here only if that lease expires or is released unfinished.
+	lease, err := s.leases.Read(s.journal.jobDir(id))
+	if err != nil || !s.leases.Claimable(lease) {
+		s.store.put(j, true)
+		return nil
 	}
 	if j.journalHandle() == nil {
 		jw, err := s.journal.open(id)
 		if err != nil {
-			return
+			return err
 		}
 		j.reattachJournal(jw)
 	}
+	if j.restarts >= s.cfg.MaxRestarts {
+		s.settle(j, outcome{StateFailed, fmt.Sprintf(
+			"job ran in %d daemon starts without completing (max %d); giving up",
+			j.restarts, s.cfg.MaxRestarts)}, nil, nil)
+		s.store.put(j, false)
+		return nil
+	}
 	j.markRecovered()
 	s.store.put(j, true)
-	s.metrics.JobsRequeued.Add(1)
+	if startup {
+		s.metrics.JobsRecovered.Add(1)
+	} else {
+		s.metrics.JobsRequeued.Add(1)
+		if lease.Epoch > 0 && !lease.Released {
+			s.metrics.LeasesExpired.Add(1)
+		}
+	}
 	s.enqueue(j, true)
+	return nil
 }
 
 // panicError wraps a panic recovered at the worker boundary; the captured
@@ -566,244 +495,307 @@ func (e *fencedError) Unwrap() error { return e.err }
 // checkpoint or result write.
 func isFenced(err error) bool { return err != nil && errors.Is(err, cluster.ErrFenced) }
 
-// run executes one job: per-job timeout, per-stage watchdog, progress
-// plumbed into the event stream and stage histograms, stage checkpoints
-// persisted to the journal, panics isolated to the job, and the terminal
-// state classified from the pipeline error plus the cancellation cause.
+// maxStageIterations caps Algorithm 1 / repair iterations within one stage
+// before the watchdog declares the job divergent.
+const maxStageIterations = 10000
+
+// run executes one job as ordered steps — claim, watch, seed, execute,
+// finish — and only sequences them; each step owns its own cleanup. The
+// job context carries the per-job timeout, and a step that detects a
+// failure cancels it with a cause that finish turns into the reason.
 func (s *Server) run(j *job) {
 	tctx, cancelTimeout := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
 	defer cancelTimeout()
-	ctx, cancelCause := context.WithCancelCause(tctx)
-	defer cancelCause(nil)
-	// Register as running before claiming the lease: the coordinator skips
-	// jobs in this map, so the claim window is invisible to rescans.
+	ctx, cancel := context.WithCancelCause(tctx)
+	defer cancel(nil)
+	lease, release, ok := s.claim(j, cancel)
+	if !ok {
+		return
+	}
+	defer release()
+	w := s.watch(lease, cancel)
+	defer w.stop()
+	s.seed(j, lease)
+	result, report, err := s.execute(ctx, j, w, cancel)
+	s.finish(j, result, report, err, context.Cause(ctx))
+}
+
+// claim makes this node the job's only runner: it registers the job as
+// running, takes its lease and journals the claim under the new fencing
+// epoch (with a journal), and starts it. release undoes all of that once
+// the job has settled. ok is false when the job must not run — another
+// node owns it, or it was cancelled while queued — and claim has then
+// cleaned up itself.
+func (s *Server) claim(j *job, cancel context.CancelCauseFunc) (lease *cluster.Handle, release func(), ok bool) {
+	// Running before leaving the queue: reconcile skips both, so no rescan
+	// sees the job in between and requeues it twice.
 	s.mu.Lock()
 	s.running[j.id] = j
 	s.mu.Unlock()
+	j.setInQueue(false)
 	s.metrics.JobsRunning.Add(1)
-	defer func() {
+	release = func() {
+		if lease != nil {
+			lease.Release()
+			s.metrics.LeasesHeld.Add(-1)
+		}
 		s.mu.Lock()
 		delete(s.running, j.id)
 		s.mu.Unlock()
 		s.metrics.JobsRunning.Add(-1)
-	}()
-
-	// In a fleet, ownership comes first: no lease, no execution. A failed
-	// claim (another node owns the job, a claim is in flight, or fault
-	// injection refused it) leaves the job queued; a later rescan requeues
-	// it here if the owner gives it up.
-	var lease *cluster.Handle
+	}
 	if s.leases != nil {
+		// In a fleet, ownership comes first: no lease, no execution. A
+		// failed claim (another node owns the job, a claim is in flight, or
+		// fault injection refused it) leaves the job queued; a later rescan
+		// requeues it here if the owner gives it up.
 		h, err := s.leases.Acquire(s.journal.jobDir(j.id))
 		if err != nil {
-			return
+			release()
+			return nil, nil, false
 		}
 		lease = h
-		defer lease.Release()
 		s.metrics.LeasesHeld.Add(1)
-		defer s.metrics.LeasesHeld.Add(-1)
 		j.setLease(h.Owner(), h.Epoch())
-		// Heartbeat: renew until the job ends. A renewal failure means the
-		// lease is lost — cancel the pipeline with the fencing cause.
-		hbStop := make(chan struct{})
-		defer close(hbStop)
-		go func() {
+		if jw := j.journalHandle(); jw != nil {
+			// From here on the journal carries the fencing token: buffered
+			// appends check the lease locally, fsync-boundary appends and the
+			// checkpoint/result writes re-verify it on disk. The claim record
+			// goes first so replay orders every later event under this epoch.
+			jw.setFence(h, func() { s.metrics.FencingRejects.Add(1) })
+			if err := jw.appendClaim(h.Owner(), h.Epoch(), h.Deadline()); err != nil {
+				cancel(&journalFailure{err: err})
+			}
+		}
+	}
+	if !j.start(func() { cancel(context.Canceled) }, s.metrics) {
+		s.settle(j, outcome{StateCancelled, cancelledBeforeStart}, nil, nil)
+		release()
+		return nil, nil, false
+	}
+	return lease, release, true
+}
+
+// watcher is a running job's one supervisor goroutine. It renews the lease
+// on the heartbeat ticker and runs the stage watchdog: a stage that stops
+// emitting progress callbacks for StageTimeout, or a renewal that finds the
+// lease lost, cancels the job with a structured cause.
+type watcher struct {
+	kicks chan string
+	quit  chan struct{}
+	done  chan struct{}
+}
+
+// watch starts the supervisor; without a lease it runs only the watchdog.
+// It starts before seed so the heartbeat covers the checkpoint re-read and
+// base import, which can outlast a short lease.
+func (s *Server) watch(lease *cluster.Handle, cancel context.CancelCauseFunc) *watcher {
+	// kicks absorbs a burst of progress callbacks so the pipeline never
+	// waits on the supervisor; a kick dropped when it is full only skips
+	// one watchdog reset.
+	w := &watcher{kicks: make(chan string, 8), quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		var beat <-chan time.Time
+		if lease != nil {
 			t := time.NewTicker(s.cfg.Heartbeat)
 			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					if err := lease.Renew(); err != nil {
-						cancelCause(&fencedError{err: err})
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	j.mu.Lock()
-	jw, resume := j.jw, j.resume
-	j.mu.Unlock()
-	if lease != nil && jw != nil {
-		// From here on the journal carries the fencing token: buffered
-		// appends check the lease locally, fsync-boundary appends and the
-		// checkpoint/result writes re-verify it on disk. The claim record
-		// goes first so replay orders every later event under this epoch.
-		jw.setFence(lease, func() { s.metrics.FencingRejects.Add(1) })
-		if err := jw.appendClaim(lease.Owner(), lease.Epoch(), lease.Deadline()); err != nil {
-			cancelCause(&journalFailure{err: err})
+			beat = t.C
 		}
-		if lease.Epoch() > 1 {
-			// Taking over from a previous owner: its last checkpoint may be
-			// newer than the one this node replayed at startup. The re-read
-			// is what makes the resumed run byte-identical to the dead
-			// owner's continuation.
-			if cp, err := readCheckpoint(s.journal.jobDir(j.id)); err == nil && cp != nil {
-				j.mu.Lock()
-				j.resume, j.lastCP = cp, cp
-				j.mu.Unlock()
-				resume = cp
-			}
-		}
-	}
-	if !j.start(func() { cancelCause(context.Canceled) }, time.Now()) {
-		// Cancelled while queued.
-		s.store.unindexHash(j)
-		s.metrics.JobsCancelled.Add(1)
-		return
-	}
-	// Incremental resubmission: a job that names (or auto-discovers) a
-	// completed base and has no checkpoint of its own yet tries to seed
-	// from the base's. A crash-replayed incremental job already carries
-	// the imported checkpoint (persisted below before the pipeline ran)
-	// and resumes from it like any other.
-	if j.req.BaseJob != "" && resume == nil {
-		s.resolveBase(j)
-		j.mu.Lock()
-		resume = j.resume
-		j.mu.Unlock()
-	}
-
-	// Stage watchdog: a pipeline stage that stops emitting progress
-	// callbacks for StageTimeout gets the job cancelled with a structured
-	// reason. Progress kicks reset the clock.
-	kick := make(chan string, 8)
-	wdStop := make(chan struct{})
-	go func() {
 		stage := "startup"
-		t := time.NewTimer(s.cfg.StageTimeout)
-		defer t.Stop()
+		wd := time.NewTimer(s.cfg.StageTimeout)
+		defer wd.Stop()
 		for {
 			select {
-			case <-wdStop:
+			case <-w.quit:
 				return
-			case stage = <-kick:
-				if !t.Stop() {
+			case <-beat:
+				if err := lease.Renew(); err != nil {
+					cancel(&fencedError{err: err})
+					beat = nil // a lost lease stays lost
+				}
+			case stage = <-w.kicks:
+				if !wd.Stop() {
 					select {
-					case <-t.C:
+					case <-wd.C:
 					default:
 					}
 				}
-				t.Reset(s.cfg.StageTimeout)
-			case <-t.C:
-				cancelCause(fmt.Errorf("watchdog: stage %q made no progress for %v", stage, s.cfg.StageTimeout))
-				return
+				wd.Reset(s.cfg.StageTimeout)
+			case <-wd.C:
+				cancel(fmt.Errorf("watchdog: stage %q made no progress for %v", stage, s.cfg.StageTimeout))
 			}
 		}
 	}()
-	defer close(wdStop)
+	return w
+}
 
-	timer := &stageTimer{m: s.metrics}
+// kick resets the watchdog from a progress callback without blocking it.
+func (w *watcher) kick(stage string) {
+	select {
+	case w.kicks <- stage:
+	default:
+	}
+}
+
+// stop ends the supervisor and waits for it to exit.
+func (w *watcher) stop() {
+	close(w.quit)
+	<-w.done
+}
+
+// seed sets the checkpoint the pipeline resumes from. A takeover (epoch >
+// 1) re-reads the previous owner's checkpoint, which may be newer than the
+// one replay saw: the re-read is what makes the resumed run byte-identical
+// to the dead owner's continuation. An incremental resubmission with no
+// checkpoint of its own seeds from its base job's; a crash-replayed one
+// already carries the imported checkpoint and resumes from it like any
+// other.
+func (s *Server) seed(j *job, lease *cluster.Handle) {
+	if lease != nil && lease.Epoch() > 1 {
+		if cp, err := readCheckpoint(s.journal.jobDir(j.id)); err == nil && cp != nil {
+			j.setResume(cp)
+		}
+	}
+	if j.req.BaseJob != "" && j.resumePoint() == nil {
+		s.resolveBase(j)
+	}
+}
+
+// execute runs the pipeline inside the worker's panic isolation boundary:
+// a panic anywhere in it — fault injections and progress callbacks
+// included — converts to a *panicError for this job alone, and the daemon
+// and its other workers keep running. Progress callbacks feed the job's
+// event stream, stage fault points, the journal health check, and the
+// watchdog; checkpoints are retained on the job and journaled.
+func (s *Server) execute(ctx context.Context, j *job, w *watcher, cancel context.CancelCauseFunc) (result map[string]string, report *confmask.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			result, report = nil, nil
+			err = &panicError{val: fmt.Sprint(r), stack: string(debug.Stack())}
+		}
+	}()
+	jw := j.journalHandle()
 	opts := j.req.Options
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
 	}
+	opts.Resume = j.resumePoint()
 	opts.Progress = func(stage string, iteration int) {
-		now := time.Now()
-		closed, d, alloc := timer.transition(stage, now)
-		j.setProgress(stage, iteration, closed, d, alloc)
+		j.setProgress(stage, iteration)
 		// Stage-level fault points fire on the pipeline goroutine, inside
-		// the worker's recover boundary: a ModePanic here must fail only
-		// this job.
+		// the recover boundary: a ModePanic here must fail only this job.
 		if err := faults.Fire("anonymize.stage." + stage); err != nil {
-			cancelCause(fmt.Errorf("fault injection: stage %s: %w", stage, err))
+			cancel(fmt.Errorf("fault injection: stage %s: %w", stage, err))
 		}
 		if err := j.journalErr(); err != nil {
-			cancelCause(&journalFailure{err: err})
+			cancel(&journalFailure{err: err})
 		}
-		if iteration > s.cfg.MaxStageIterations {
-			cancelCause(fmt.Errorf("watchdog: stage %q exceeded %d iterations", stage, s.cfg.MaxStageIterations))
+		if iteration > maxStageIterations {
+			cancel(fmt.Errorf("watchdog: stage %q exceeded %d iterations", stage, maxStageIterations))
 		}
-		select {
-		case kick <- stage:
-		default:
-		}
+		w.kick(stage)
 		if s.cfg.StageHook != nil {
 			s.cfg.StageHook(j.id, stage, iteration)
 		}
 	}
-	opts.Resume = resume
 	opts.Checkpoint = func(cp *confmask.Checkpoint) {
-		// Tee every checkpoint into the job record — completed jobs keep
-		// their final checkpoint so later submissions can seed from it,
-		// journaled or not.
+		// Completed jobs keep their final checkpoint so later submissions
+		// can seed from it, journaled or not.
 		j.setLastCheckpoint(cp)
 		if jw != nil {
 			if err := jw.writeCheckpoint(cp); err != nil {
-				cancelCause(&journalFailure{err: err})
+				cancel(&journalFailure{err: err})
 			}
 		}
 	}
-	result, report, err := s.execute(ctx, j.req.Configs, opts)
-	now := time.Now()
-	closed, d, alloc := timer.finish(now)
+	if err := faults.Fire("worker.run"); err != nil {
+		return nil, nil, err
+	}
+	return confmask.AnonymizeContext(ctx, j.req.Configs, opts)
+}
+
+// finish persists a done job's result, classifies the run from the
+// pipeline error plus the cancellation cause, and settles the job.
+func (s *Server) finish(j *job, result map[string]string, report *confmask.Report, err, cause error) {
 	if err == nil {
 		if jerr := j.journalErr(); jerr != nil {
 			err = &journalFailure{err: jerr}
-		} else if jw != nil {
+		} else if jw := j.journalHandle(); jw != nil {
 			if werr := jw.writeResult(result, report); werr != nil {
 				err = &journalFailure{err: werr}
 			}
 		}
 	}
-	cause := context.Cause(ctx)
+	if err == nil {
+		// The final checkpoint is deliberately kept, in memory and on disk:
+		// it is what incremental resubmissions seed from.
+		s.settle(j, outcome{state: StateDone}, result, report)
+		return
+	}
 	var pe *panicError
 	var jf *journalFailure
+	canceled := errors.Is(err, context.Canceled)
+	o := outcome{state: StateFailed}
 	switch {
-	case err == nil:
-		// The final checkpoint is deliberately kept, in memory and on
-		// disk: it is what incremental resubmissions seed from.
-		j.finish(StateDone, result, report, "", now, closed, d, alloc)
-		s.metrics.JobsDone.Add(1)
 	case isFenced(err) || isFenced(cause):
-		// This node lost the lease mid-run: a newer epoch owns the job.
-		// The local record fails for visibility, but the journal is left
-		// alone — the fence already refused this node's writes, and the
-		// new owner's run is the authoritative history.
-		j.finish(StateFailed, nil, nil,
-			"lease lost: job taken over by a newer claim; this node's run is void", now, closed, d, alloc)
-		s.store.unindexHash(j)
-		s.metrics.JobsFailed.Add(1)
+		// This node lost the lease mid-run: a newer epoch owns the job. The
+		// local record fails for visibility, but the journal is left alone —
+		// the fence already refused this node's writes, and the new owner's
+		// run is the authoritative history.
+		o.reason = "lease lost: job taken over by a newer claim; this node's run is void"
 	case errors.As(err, &pe):
 		s.metrics.JobsPanicked.Add(1)
-		j.finish(StateFailed, nil, nil, pe.Error()+"\n"+pe.stack, now, closed, d, alloc)
-		s.store.unindexHash(j)
-		s.metrics.JobsFailed.Add(1)
+		o.reason = pe.Error() + "\n" + pe.stack
 	case errors.As(err, &jf):
 		s.metrics.JournalErrors.Add(1)
-		j.finish(StateFailed, nil, nil, jf.Error(), now, closed, d, alloc)
-		s.store.unindexHash(j)
-		s.metrics.JobsFailed.Add(1)
-	case errors.Is(err, context.Canceled):
-		switch {
-		case s.journal != nil && j.isDraining():
-			j.finish(StateRequeued, nil, nil, "", now, closed, d, alloc)
-			s.metrics.JobsRequeued.Add(1)
-		case cause != nil && !errors.Is(cause, context.Canceled):
-			// Watchdog, journal, or injected fault: the cause carries the
-			// structured reason.
-			if errors.As(cause, &jf) {
-				s.metrics.JournalErrors.Add(1)
-			}
-			j.finish(StateFailed, nil, nil, cause.Error(), now, closed, d, alloc)
-			s.store.unindexHash(j)
-			s.metrics.JobsFailed.Add(1)
-		default:
-			j.finish(StateCancelled, nil, nil, "cancelled", now, closed, d, alloc)
-			s.store.unindexHash(j)
-			s.metrics.JobsCancelled.Add(1)
+		o.reason = jf.Error()
+	case canceled && s.journal != nil && j.isDraining():
+		o = outcome{state: StateRequeued}
+	case canceled && cause != nil && !errors.Is(cause, context.Canceled):
+		// Watchdog, journal, or injected fault: the cause carries the
+		// structured reason.
+		if errors.As(cause, &jf) {
+			s.metrics.JournalErrors.Add(1)
 		}
+		o.reason = cause.Error()
+	case canceled:
+		o = outcome{StateCancelled, "cancelled"}
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, nil, fmt.Sprintf("job exceeded timeout %v", s.cfg.JobTimeout), now, closed, d, alloc)
-		s.store.unindexHash(j)
-		s.metrics.JobsFailed.Add(1)
+		o.reason = fmt.Sprintf("job exceeded timeout %v", s.cfg.JobTimeout)
 	default:
-		j.finish(StateFailed, nil, nil, err.Error(), now, closed, d, alloc)
+		o.reason = err.Error()
+	}
+	s.settle(j, o, nil, nil)
+}
+
+// outcome is how a job leaves the lifecycle: its terminal state and the
+// reason recorded as Status.Error.
+type outcome struct {
+	state  State
+	reason string
+}
+
+// cancelledBeforeStart is the reason of a job cancelled while queued.
+const cancelledBeforeStart = "cancelled before start"
+
+// settle applies a terminal outcome, the one place every path that ends a
+// job goes through: the terminal event, the dedup index (failed and
+// cancelled jobs drop their hash so an identical resubmission starts
+// fresh), and the outcome counter.
+func (s *Server) settle(j *job, o outcome, result map[string]string, report *confmask.Report) {
+	j.finish(o, result, report)
+	switch o.state {
+	case StateDone:
+		s.metrics.JobsDone.Add(1)
+	case StateRequeued:
+		s.metrics.JobsRequeued.Add(1)
+	case StateFailed:
 		s.store.unindexHash(j)
 		s.metrics.JobsFailed.Add(1)
+	case StateCancelled:
+		s.store.unindexHash(j)
+		s.metrics.JobsCancelled.Add(1)
 	}
 }
 
@@ -841,12 +833,8 @@ func (s *Server) resolveBase(j *job) {
 			if err == nil {
 				stages := reusedStagesFor(imported.Stage)
 				j.noteIncremental(base.id, stages, edited)
-				j.mu.Lock()
-				j.resume = imported
-				j.lastCP = imported
-				jw := j.jw
-				j.mu.Unlock()
-				if jw != nil {
+				j.setResume(imported)
+				if jw := j.journalHandle(); jw != nil {
 					if werr := jw.writeCheckpoint(imported); werr != nil {
 						// The sticky journal error fails the job through the
 						// usual progress-path check; nothing more to do here.
@@ -914,23 +902,6 @@ func reusedStagesFor(stage string) []string {
 	default:
 		return nil
 	}
-}
-
-// execute is the worker's panic isolation boundary: one job's pipeline
-// runs inside it, and a panic anywhere in that pipeline — including fault
-// injections and progress callbacks — converts to a *panicError for that
-// job alone. The daemon and its other workers keep running.
-func (s *Server) execute(ctx context.Context, configs map[string]string, opts confmask.Options) (result map[string]string, report *confmask.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			result, report = nil, nil
-			err = &panicError{val: fmt.Sprint(r), stack: string(debug.Stack())}
-		}
-	}()
-	if err := faults.Fire("worker.run"); err != nil {
-		return nil, nil, err
-	}
-	return confmask.AnonymizeContext(ctx, configs, opts)
 }
 
 // --- HTTP handlers ---
