@@ -422,31 +422,21 @@ func printScale(r *experiments.Runner, out string, smoke bool) error {
 	if err != nil {
 		return err
 	}
-	title := "Thousand-router scale: digest vs full extraction, pipeline stages"
+	title := "Thousand-router scale: digest extraction, pipeline stages"
 	if smoke {
 		title += " (smoke subset)"
 	}
 	header(title)
-	fmt.Printf("%-17s %7s %5s %6s %10s %9s %9s %8s %9s %9s %11s %5s\n",
-		"Network", "routers", "|H|", "links", "simulate", "digest", "full", "speedup",
-		"dig-heap", "full-heap", "pipeline", "iters")
+	fmt.Printf("%-17s %7s %5s %6s %10s %9s %9s %11s %5s\n",
+		"Network", "routers", "|H|", "links", "simulate", "digest", "dig-heap", "pipeline", "iters")
 	for _, row := range rows {
-		full, fullHeap, speedup := fmt.Sprintf("%.0fms", row.ExtractFullMS),
-			fmt.Sprintf("%.1fM", float64(row.PeakHeapFullBytes)/(1<<20)), "-"
-		if row.ExtractFullSkipped {
-			full, fullHeap = "skip", "skip"
-		} else if row.ExtractDigestMS > 0 {
-			speedup = fmt.Sprintf("%.1fx", row.ExtractFullMS/row.ExtractDigestMS)
-		}
-		fmt.Printf("%-17s %7d %5d %6d %8.0fms %7.0fms %9s %8s %8.1fM %9s %9.0fms %5d\n",
+		fmt.Printf("%-17s %7d %5d %6d %8.0fms %7.0fms %8.1fM %9.0fms %5d\n",
 			row.Net, row.Routers, row.Hosts, row.Links,
-			row.SimulateMS, row.ExtractDigestMS, full, speedup,
-			float64(row.PeakHeapDigestBytes)/(1<<20), fullHeap,
+			row.SimulateMS, row.ExtractDigestMS,
+			float64(row.PeakHeapDigestBytes)/(1<<20),
 			row.PipelineTotalMS, row.EquivIterations)
 	}
-	fmt.Println("(expected: digest extraction ≥2x faster and several-times-lower peak heap than full at FatTree16;")
-	fmt.Println(" digest working set is bounded by workers × one destination's memos, the output by 16B/pair;")
-	fmt.Println(" 'skip' marks the fully materialized strawman withheld above the host cap — see extract_full_skipped)")
+	fmt.Println("(expected: digest working set bounded by workers × one destination's memos, the output by 16B/pair)")
 	if out == "" {
 		return nil
 	}

@@ -363,25 +363,20 @@ type baseline struct {
 	cfg  *config.Network
 	snap *sim.Snapshot
 	topo *topology.Graph
-	// dpDig is the original data plane as per-pair 128-bit digests — all
-	// the ConfMask pipeline needs for its equivalence checks, at 16 bytes
-	// per ordered pair instead of materialized path sets. It is built
-	// lazily (dpDigOnce): route anonymity never reads it, so a resume
-	// that skips the equivalence stage skips the extraction entirely.
-	// dpCols, when non-nil, seeds the extraction with per-destination
-	// columns recovered from a checkpoint (sim.PairDigestsForSeeded), so
-	// a resumed run re-derives only destinations the seed doesn't cover.
-	// dpDigDone flags completed extraction for checkpoint export without
-	// forcing it; the pipeline is single-goroutine at every read site.
+	// dpDig is the original data plane as per-pair 128-bit digests, at 16
+	// bytes per ordered pair. It is built lazily (dpDigOnce): route
+	// anonymity never reads it, so a resume that skips the equivalence
+	// stage skips the extraction entirely. dpCols, when non-nil, seeds the
+	// extraction with per-destination columns recovered from a checkpoint
+	// (sim.Snapshot.DataPlaneForSeeded), so a resumed run re-derives only
+	// destinations the seed doesn't cover. dpDigDone flags completed
+	// extraction for checkpoint export without forcing it; the pipeline is
+	// single-goroutine at every read site.
 	dpDigOnce sync.Once
-	dpDig     *sim.PairDigests
+	dpDig     *sim.DataPlane
 	dpDigDone bool
 	dpCols    map[string][]byte
-	// dp is the fully materialized data plane, built lazily: only the
-	// strawman baselines compare per-pair hop sequences.
-	dpOnce sync.Once
-	dp     *sim.DataPlane
-	hosts  []string
+	hosts     []string
 	// dests is every destination Algorithm 1 preserves: all host LAN
 	// prefixes plus the external equivalence-class prefixes of §9
 	// (Internet destinations originated via discard statics).
@@ -425,20 +420,12 @@ func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string
 	return b, nil
 }
 
-// digests extracts (once) the original data plane's per-pair digest
-// view, honoring any checkpoint-recovered seed columns.
-func (b *baseline) digests() *sim.PairDigests {
+// digests extracts (once) the original data plane, honoring any
+// checkpoint-recovered seed columns.
+func (b *baseline) digests() *sim.DataPlane {
 	b.dpDigOnce.Do(func() {
-		b.dpDig = b.snap.PairDigestsForSeeded(b.hosts, b.dpCols)
+		b.dpDig = b.snap.DataPlaneForSeeded(b.hosts, b.dpCols)
 		b.dpDigDone = true
 	})
 	return b.dpDig
-}
-
-// dataPlane materializes the original network's full data plane on first
-// use. The ConfMask pipeline itself never calls this — it compares dpDig
-// digests — so large runs avoid holding H² path sets for the baseline.
-func (b *baseline) dataPlane() *sim.DataPlane {
-	b.dpOnce.Do(func() { b.dp = b.snap.DataPlaneFor(b.hosts) })
-	return b.dp
 }

@@ -48,13 +48,13 @@ type StageCheckpoint struct {
 	// BaselineDigests, when present, carries the preprocessed baseline's
 	// per-destination digest columns, so a resumed run's equivalence
 	// stage seeds its digest plane instead of re-extracting every
-	// destination (sim.PairDigestsForSeeded).
+	// destination (sim.Snapshot.DataPlaneForSeeded).
 	BaselineDigests *BaselineDigestDoc `json:"baseline_digests,omitempty"`
 }
 
 // BaselineDigestDoc is the serialized form of the baseline's per-pair
 // digest plane: per-destination columns (hex of
-// sim.PairDigests.ExportColumns) over an explicit host order. The host
+// sim.DataPlane.ExportColumns) over an explicit host order. The host
 // list gates reuse — a resume only seeds from the doc when its hosts
 // match the input's host list exactly, since the column layout is
 // defined by that order.

@@ -257,8 +257,8 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 			// 128-bit fingerprints of the canonical path sets, extracted
 			// through transient per-destination engines — no H² path
 			// materialization for either side of the comparison.
-			anonDig := snap.PairDigestsFor(base.hosts)
-			if pairs := base.digests().DiffPairs(anonDig); len(pairs) != 0 {
+			anonDig := snap.DataPlaneFor(base.hosts)
+			if pairs := sim.DiffPairs(base.digests(), anonDig, base.hosts); len(pairs) != 0 {
 				return iter, filters, fmt.Errorf("converged after %d iterations but %d host pairs still differ (first: %v)", iter, len(pairs), pairs[0])
 			}
 			// External equivalence classes: every router's next-hop set

@@ -38,12 +38,7 @@ func strawman1(out *config.Network, base *baseline, opts Options) (int, int, err
 	// simulation after re-deriving the filter caches.
 	view.InvalidateFilters()
 	snap := sim.SimulateNetOpts(view, opts.simOpts())
-	dp := snap.DataPlaneFor(base.hosts)
-	if !sim.EqualOver(base.dataPlane(), dp, base.hosts) {
-		pairs := sim.DiffPairs(base.dataPlane(), dp, base.hosts)
-		if len(pairs) == 0 {
-			return 1, filters, fmt.Errorf("strawman1 left data planes different")
-		}
+	if pairs := sim.DiffPairs(base.digests(), snap.DataPlaneFor(base.hosts), base.hosts); len(pairs) != 0 {
 		return 1, filters, fmt.Errorf("strawman1 left %d host pairs different (first: %v)", len(pairs), pairs[0])
 	}
 	return 1, filters, nil
@@ -110,23 +105,27 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 	}
 	maxIter := opts.MaxIterations
 	// Each fixing round adds filters for a handful of destination
-	// prefixes; the diff from InvalidateFilters lets DataPlaneForDirty
-	// re-trace only those destinations and carry the rest of the previous
-	// round's data plane forward.
-	var prev *sim.DataPlane
-	var diff *sim.FilterDiff
+	// prefixes; the diff from InvalidateFilters names them, so the next
+	// round seeds DataPlaneForSeeded with the previous round's columns of
+	// every other destination and re-traces only those.
+	var seed map[string][]byte
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return iter - 1, filters, err
 		}
 		opts.progress("equivalence", iter)
 		if iter > 1 {
-			diff = view.InvalidateFilters()
+			diff := view.InvalidateFilters()
+			for dst := range seed {
+				if diff.Affects(view.HostPrefix[dst]) {
+					delete(seed, dst)
+				}
+			}
 		}
 		snap := sim.SimulateNetOpts(view, opts.simOpts())
-		dp := snap.DataPlaneForDirty(base.hosts, prev, diff)
-		prev = dp
-		diffs := sim.DiffPairs(base.dataPlane(), dp, base.hosts)
+		dp := snap.DataPlaneForSeeded(base.hosts, seed)
+		seed = dp.ExportColumns()
+		diffs := sim.DiffPairs(base.digests(), dp, base.hosts)
 		if len(diffs) == 0 {
 			return iter, filters, nil
 		}
@@ -151,7 +150,7 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim.Pair) bool {
 	dstPfx := base.snap.Net.HostPrefix[pair.Dst]
 	origKeys := make(map[string]bool)
-	for _, p := range base.dataPlane().Pairs[pair] {
+	for _, p := range base.snap.TraceFrom(pair.Src, pair.Dst) {
 		origKeys[p.Key()] = true
 	}
 	for _, path := range snap.Trace(pair.Src, pair.Dst) {

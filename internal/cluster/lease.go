@@ -17,6 +17,12 @@
 // stalls past its deadline is fenced out the moment another node claims the
 // next epoch: its renewals fail, its appends are refused, and whatever it
 // managed to write before noticing is dropped at replay.
+//
+// The lock files, not lease.json, are the authority on epochs: a holder
+// that finds a lock above its epoch is fenced, and a holder that finds
+// lease.json at an epoch below its own (a fenced owner's write landed
+// after the takeover published) restores its lease. A renewal racing a
+// takeover therefore cannot roll an epoch back.
 package cluster
 
 import (
@@ -145,6 +151,25 @@ func (m *Manager) unpublishedClaims(dir string, above int) (staleMax int, inFlig
 		}
 	}
 	return staleMax, inFlight
+}
+
+// claimedAbove reports whether any claim lock beyond epoch exists — a newer
+// claim, published or not, which fences every holder of epoch. A crashed
+// claimant's lock fences too: it was only created because the lease was
+// claimable, and the job is requeued once the lease expires.
+func (m *Manager) claimedAbove(dir string, epoch int) bool {
+	staleMax, inFlight := m.unpublishedClaims(dir, epoch)
+	return staleMax > 0 || inFlight
+}
+
+// lockOwner returns the node ID recorded in an epoch's claim lock; "" when
+// the lock is missing or unreadable.
+func lockOwner(dir string, epoch int) string {
+	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("lease.%d.lock", epoch)))
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(data))
 }
 
 // Acquire claims the job directory for this node: it bumps the epoch via an
@@ -277,8 +302,10 @@ func (h *Handle) Valid() bool {
 }
 
 // Verify re-reads the lease from disk and confirms this handle still owns
-// it. Any mismatch — newer epoch, different owner, released — invalidates
-// the handle and returns ErrFenced.
+// it. Any mismatch — newer epoch or claim lock, different owner, released —
+// invalidates the handle and returns ErrFenced. A lease.json older than
+// the handle's own epoch, whose lock names this node, is republished
+// instead: a fenced owner's write overtook this handle's claim.
 func (h *Handle) Verify() error {
 	if h == nil {
 		return nil
@@ -296,6 +323,16 @@ func (h *Handle) verifyLocked() error {
 	if err != nil {
 		return err
 	}
+	if h.m.claimedAbove(h.dir, h.epoch) {
+		h.invalid = true
+		return fmt.Errorf("%w (held epoch %d, newer claim lock)", ErrFenced, h.epoch)
+	}
+	if cur.Epoch < h.epoch && lockOwner(h.dir, h.epoch) == h.m.node {
+		cur = Lease{Owner: h.m.node, Epoch: h.epoch, Deadline: h.deadline}
+		if err := h.publishLocked(cur); err != nil {
+			return err
+		}
+	}
 	if cur.Epoch != h.epoch || cur.Owner != h.m.node || cur.Released {
 		h.invalid = true
 		return fmt.Errorf("%w (held epoch %d, current epoch %d owner %s)", ErrFenced, h.epoch, cur.Epoch, cur.Owner)
@@ -303,9 +340,26 @@ func (h *Handle) verifyLocked() error {
 	return nil
 }
 
+// publishLocked writes l as the lease and then checks for a claim lock
+// above this handle's epoch. A takeover that locked and published between
+// the caller's verify and this write has just been overwritten: the handle
+// is fenced, and the newer owner republishes on its next verify.
+func (h *Handle) publishLocked(l Lease) error {
+	if err := h.m.write(h.dir, l); err != nil {
+		h.invalid = true
+		return fmt.Errorf("lease publish: %w", err)
+	}
+	if h.m.claimedAbove(h.dir, h.epoch) {
+		h.invalid = true
+		return fmt.Errorf("%w (held epoch %d, claim lock above it after write)", ErrFenced, h.epoch)
+	}
+	return nil
+}
+
 // Renew pushes the deadline forward by the manager's TTL, verifying the
 // lease is still this handle's first. The "cluster.lease.renew" fault point
-// makes a heartbeat lose its lease on demand.
+// makes a heartbeat lose its lease on demand; "cluster.lease.renew.write"
+// sits between the verify and the write, where a takeover can land.
 func (h *Handle) Renew() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -316,9 +370,12 @@ func (h *Handle) Renew() error {
 	if err := h.verifyLocked(); err != nil {
 		return err
 	}
-	deadline := h.m.now().Add(h.m.ttl)
-	if err := h.m.write(h.dir, Lease{Owner: h.m.node, Epoch: h.epoch, Deadline: deadline}); err != nil {
+	if err := faults.Fire("cluster.lease.renew.write"); err != nil {
 		h.invalid = true
+		return fmt.Errorf("lease renew: %w", err)
+	}
+	deadline := h.m.now().Add(h.m.ttl)
+	if err := h.publishLocked(Lease{Owner: h.m.node, Epoch: h.epoch, Deadline: deadline}); err != nil {
 		return fmt.Errorf("lease renew: %w", err)
 	}
 	h.deadline = deadline

@@ -275,3 +275,95 @@ func TestLeaseFaultPoints(t *testing.T) {
 		t.Fatal("handle valid after failed renew")
 	}
 }
+
+// TestLeaseRenewRacingTakeoverCannotRollBackEpoch forces the interleaving
+// that used to roll an epoch back: A's Renew passes its verify, B takes
+// the lease over and publishes epoch 2, and only then does A's write land.
+// The "cluster.lease.renew.write" delay holds A between verify and write
+// while B claims. A must come out fenced, and B must keep epoch 2.
+func TestLeaseRenewRacingTakeoverCannotRollBackEpoch(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := testManager(t, "node-a", time.Minute)
+	b, nowB := testManager(t, "node-b", time.Minute)
+	ha, err := a.Acquire(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faults.Reset()
+	defer faults.Reset()
+	faults.Arm("cluster.lease.renew.write", faults.Injection{Mode: faults.ModeDelay, Delay: 500 * time.Millisecond, On: 1})
+	renewed := make(chan error, 1)
+	go func() { renewed <- ha.Renew() }()
+	for start := time.Now(); faults.Hits("cluster.lease.renew.write") == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("renew never reached the cluster.lease.renew.write point")
+		}
+	}
+
+	// A is parked past its verify. B sees A's lease expired and claims.
+	*nowB = nowB.Add(2 * time.Minute)
+	hb, err := b.Acquire(dir)
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	if hb.Epoch() != 2 {
+		t.Fatalf("takeover epoch = %d, want 2", hb.Epoch())
+	}
+
+	if err := <-renewed; !errors.Is(err, ErrFenced) {
+		t.Fatalf("renew racing a takeover = %v, want ErrFenced", err)
+	}
+	if ha.Valid() {
+		t.Fatal("stale owner still valid after its renew raced a takeover")
+	}
+	// B is not fenced by the stale write, and restores its lease.
+	if err := hb.Verify(); err != nil {
+		t.Fatalf("new owner verify after stale renew: %v", err)
+	}
+	if l, _ := b.Read(dir); l.Epoch != 2 || l.Owner != "node-b" || l.Released {
+		t.Fatalf("lease after race = %+v, want node-b epoch 2 live", l)
+	}
+	if err := hb.Renew(); err != nil {
+		t.Fatalf("new owner renew: %v", err)
+	}
+}
+
+// TestLeaseClaimLockFencesHolder pins the lock files as the epoch
+// authority: a claim lock above the holder's epoch fences it even before
+// the claimant publishes, and a lease.json rolled back below the holder's
+// epoch is republished rather than fencing the holder.
+func TestLeaseClaimLockFencesHolder(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := testManager(t, "node-a", time.Minute)
+	h1, err := a.Acquire(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := a.Acquire(dir) // same-node reclaim: epoch 2
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Roll lease.json back to epoch 1, as a stale renewal would.
+	if err := a.write(dir, Lease{Owner: "node-a", Epoch: 1, Deadline: h1.Deadline()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Verify(); err != nil {
+		t.Fatalf("holder of epoch 2 over a rolled-back lease: %v", err)
+	}
+	if l, _ := a.Read(dir); l.Epoch != 2 {
+		t.Fatalf("lease epoch = %d after republish, want 2", l.Epoch)
+	}
+
+	// An unpublished claim of epoch 3 fences the epoch-2 holder.
+	if err := os.WriteFile(filepath.Join(dir, "lease.3.lock"), []byte("node-c\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Renew(); !errors.Is(err, ErrFenced) {
+		t.Fatalf("renew under a newer claim lock = %v, want ErrFenced", err)
+	}
+	if l, _ := a.Read(dir); l.Epoch != 2 || !l.Deadline.Equal(h2.Deadline()) {
+		t.Fatalf("fenced renew rewrote the lease: %+v", l)
+	}
+}

@@ -13,8 +13,7 @@ import (
 // DataPlaneBenchRow is one network's data-plane extraction measurement:
 // full extraction cost sequential vs parallel, and the cost of one
 // filter-mutation round with full re-extraction vs dirty-destination
-// re-tracing — the round shape of Algorithm 2's repair loop and
-// strawman 2's fixing loop.
+// re-tracing — the round shape of strawman 2's fixing loop.
 type DataPlaneBenchRow struct {
 	Net   string  `json:"net"`
 	Hosts int     `json:"hosts"`
@@ -23,7 +22,8 @@ type DataPlaneBenchRow struct {
 	ParMS float64 `json:"par_ms"` // full extraction, parallelism GOMAXPROCS
 	// FullRoundMS / DirtyRoundMS time one round after a single-destination
 	// filter change: re-extract everything vs re-trace only dirty
-	// destinations (DataPlaneForDirty with the InvalidateFilters diff).
+	// destinations (DataPlaneForSeeded with the previous plane's columns
+	// minus those the InvalidateFilters diff affects).
 	FullRoundMS  float64 `json:"full_round_ms"`
 	DirtyRoundMS float64 `json:"dirty_round_ms"`
 	DirtyDests   int     `json:"dirty_dests"`
@@ -46,9 +46,8 @@ func (r *Runner) dataPlaneBenchNets() []netgen.Spec {
 }
 
 // DataPlaneBench measures the destination-sharded extraction engine on
-// the reference networks. Every timing is a best-of-three over a cold
-// per-destination cache (a fresh simulation per measurement, excluded
-// from the timing).
+// the reference networks. Every timing is a best-of-three over a fresh
+// simulation per measurement, excluded from the timing.
 func (r *Runner) DataPlaneBench() ([]DataPlaneBenchRow, error) {
 	var rows []DataPlaneBenchRow
 	for _, spec := range r.dataPlaneBenchNets() {
@@ -93,9 +92,11 @@ func (r *Runner) DataPlaneBench() ([]DataPlaneBenchRow, error) {
 			continue
 		}
 		diff := view.InvalidateFilters()
+		seed := prev.ExportColumns()
 		for _, h := range hosts {
 			if diff.Affects(view.HostPrefix[h]) {
 				row.DirtyDests++
+				delete(seed, h)
 			}
 		}
 		var full, dirty time.Duration
@@ -108,7 +109,7 @@ func (r *Runner) DataPlaneBench() ([]DataPlaneBenchRow, error) {
 			}
 			snap = sim.SimulateNetOpts(view, sim.Options{Parallelism: 1})
 			t0 = time.Now()
-			snap.DataPlaneForDirty(hosts, prev, diff)
+			snap.DataPlaneForSeeded(hosts, seed)
 			if d := time.Since(t0); dirty == 0 || d < dirty {
 				dirty = d
 			}

@@ -63,8 +63,8 @@ func (r *Runner) Figure5() ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		orig := metrics.ComputeRouteAnonymity(b.DP, b.Snap.Net.GatewayOf)
-		anon := metrics.ComputeRouteAnonymity(d.DPAll, d.Snap.Net.GatewayOf)
+		orig := routeAnonymity(b.Snap)
+		anon := routeAnonymity(d.Snap)
 		out = append(out, Fig5Row{
 			Net:     s.Name,
 			OrigMin: orig.Min, AnonMin: anon.Min,
@@ -131,6 +131,12 @@ func (r *Runner) Figure7() ([]Fig7Row, error) {
 	return out, nil
 }
 
+// routeAnonymity measures N_r over every host of a simulated network,
+// fake twins included.
+func routeAnonymity(snap *sim.Snapshot) metrics.RouteAnonymity {
+	return metrics.ComputeRouteAnonymity(snap.Hosts(), snap.TraceFrom, snap.Net.GatewayOf)
+}
+
 // Fig8Row reports the fraction of exactly-kept host-to-host paths P_U.
 type Fig8Row struct {
 	Net               string
@@ -150,11 +156,12 @@ func (r *Runner) Figure8() ([]Fig8Row, error) {
 			return nil, err
 		}
 		hosts := b.Cfg.Hosts()
+		orig := b.Snap.DataPlaneFor(hosts)
 		nh := nethide.Obfuscate(b.Topo, nethide.Options{Seed: r.Seed})
 		out = append(out, Fig8Row{
 			Net:      s.Name,
-			ConfMask: sim.ExactlyKeptFraction(b.DP, d.DPReal, hosts),
-			NetHide:  sim.ExactlyKeptFraction(b.DP, nh.DataPlane(hosts), hosts),
+			ConfMask: sim.ExactlyKeptFraction(orig, d.Snap.DataPlaneFor(hosts), hosts),
+			NetHide:  sim.ExactlyKeptFraction(orig, sim.DataPlaneOf(hosts, nh.TraceFrom), hosts),
 		})
 	}
 	return out, nil
@@ -230,8 +237,8 @@ func (r *Runner) Figure10() ([]Fig10Row, error) {
 		}
 		row := Fig10Row{
 			Net:  s.Name,
-			NrCM: metrics.ComputeRouteAnonymity(cm.DPAll, cm.Snap.Net.GatewayOf).Avg,
-			NrS1: metrics.ComputeRouteAnonymity(s1.DPAll, s1.Snap.Net.GatewayOf).Avg,
+			NrCM: routeAnonymity(cm.Snap).Avg,
+			NrS1: routeAnonymity(s1.Snap).Avg,
 			UCCM: cm.Report.UC,
 			UCS1: s1.Report.UC,
 		}
@@ -240,7 +247,7 @@ func (r *Runner) Figure10() ([]Fig10Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.NrS2 = metrics.ComputeRouteAnonymity(s2.DPAll, s2.Snap.Net.GatewayOf).Avg
+			row.NrS2 = routeAnonymity(s2.Snap).Avg
 			row.UCS2 = s2.Report.UC
 		} else {
 			row.Skipped = true
@@ -275,7 +282,7 @@ func (r *Runner) sweep() ([]SweepRow, error) {
 			}
 			out = append(out, SweepRow{
 				Net: s.Name, KR: kR, KH: kH,
-				Nr: metrics.ComputeRouteAnonymity(d.DPAll, d.Snap.Net.GatewayOf).Avg,
+				Nr: routeAnonymity(d.Snap).Avg,
 				UC: d.Report.UC,
 			})
 		}

@@ -60,7 +60,6 @@ type baseData struct {
 	Spec netgen.Spec
 	Cfg  *config.Network
 	Snap *sim.Snapshot
-	DP   *sim.DataPlane
 	Topo *topology.Graph
 }
 
@@ -69,10 +68,6 @@ type runData struct {
 	Anon   *config.Network
 	Report *anonymize.Report
 	Snap   *sim.Snapshot
-	// DPAll covers all hosts including fake twins; DPReal only the
-	// original hosts.
-	DPAll  *sim.DataPlane
-	DPReal *sim.DataPlane
 	Wall   time.Duration
 }
 
@@ -93,7 +88,6 @@ func (r *Runner) base(spec netgen.Spec) (*baseData, error) {
 		Spec: spec,
 		Cfg:  cfg,
 		Snap: snap,
-		DP:   snap.ExtractDataPlane(),
 		Topo: snap.Net.Topology(),
 	}
 	r.bases[spec.ID] = b
@@ -131,8 +125,6 @@ func (r *Runner) run(spec netgen.Spec, kR, kH int, strategy anonymize.Strategy) 
 		Anon:   anon,
 		Report: rep,
 		Snap:   snap,
-		DPAll:  snap.ExtractDataPlane(),
-		DPReal: snap.DataPlaneFor(b.Cfg.Hosts()),
 		Wall:   wall,
 	}
 	r.runs[key] = d

@@ -27,8 +27,9 @@ type RouteAnonymity struct {
 // ComputeRouteAnonymity counts, for every ordered pair of edge routers
 // (routers with attached hosts), the number of distinct router-level paths
 // observed between hosts behind them — the paper's N_r (Figs. 5, 10–12).
-// The data plane should include fake hosts so that ConfMask's k_H twins
-// contribute their diverging paths.
+// hosts should include fake hosts so that ConfMask's k_H twins contribute
+// their diverging paths; trace returns a pair's canonically sorted paths
+// (sim.Snapshot.TraceFrom).
 //
 // Each host pair contributes one representative path — the canonical
 // first of its ECMP set — matching the paper's measurement: a
@@ -36,25 +37,27 @@ type RouteAnonymity struct {
 // anonymity set per edge-router pair grows with the number of host
 // connections whose observed paths differ (the fake twins whose routes
 // ConfMask's noise filters diverted), not with the raw ECMP fan-out.
-func ComputeRouteAnonymity(dp *sim.DataPlane, gatewayOf map[string]string) RouteAnonymity {
+func ComputeRouteAnonymity(hosts []string, trace func(src, dst string) []sim.Path, gatewayOf map[string]string) RouteAnonymity {
 	distinct := make(map[[2]string]map[string]bool)
-	for pair, paths := range dp.Pairs {
-		gwS, okS := gatewayOf[pair.Src]
-		gwD, okD := gatewayOf[pair.Dst]
-		if !okS || !okD || gwS == gwD {
-			continue
-		}
-		for _, p := range paths {
-			if p.Status != sim.Delivered || len(p.Hops) < 3 {
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			gwS, okS := gatewayOf[src]
+			gwD, okD := gatewayOf[dst]
+			if src == dst || !okS || !okD || gwS == gwD {
 				continue
 			}
-			key := [2]string{gwS, gwD}
-			if distinct[key] == nil {
-				distinct[key] = make(map[string]bool)
+			for _, p := range trace(src, dst) {
+				if p.Status != sim.Delivered || len(p.Hops) < 3 {
+					continue
+				}
+				key := [2]string{gwS, gwD}
+				if distinct[key] == nil {
+					distinct[key] = make(map[string]bool)
+				}
+				// Router-level path: strip the host endpoints.
+				distinct[key][strings.Join(p.Hops[1:len(p.Hops)-1], ">")] = true
+				break // canonical representative; traces are sorted
 			}
-			// Router-level path: strip the host endpoints.
-			distinct[key][strings.Join(p.Hops[1:len(p.Hops)-1], ">")] = true
-			break // canonical representative; Trace returns sorted paths
 		}
 	}
 	out := RouteAnonymity{Min: -1}

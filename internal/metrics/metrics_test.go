@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"confmask/internal/sim"
@@ -11,17 +12,34 @@ func delivered(hops ...string) sim.Path {
 	return sim.Path{Hops: hops, Status: sim.Delivered}
 }
 
+// fromPairs serves a fixed path table as the hosts and trace function
+// ComputeRouteAnonymity reads; pairs outside the table have no paths.
+func fromPairs(pairs map[sim.Pair][]sim.Path) ([]string, func(src, dst string) []sim.Path) {
+	seen := make(map[string]bool)
+	var hosts []string
+	for k := range pairs {
+		for _, h := range []string{k.Src, k.Dst} {
+			if !seen[h] {
+				seen[h] = true
+				hosts = append(hosts, h)
+			}
+		}
+	}
+	sort.Strings(hosts)
+	return hosts, func(src, dst string) []sim.Path { return pairs[sim.Pair{Src: src, Dst: dst}] }
+}
+
 func TestComputeRouteAnonymityBasic(t *testing.T) {
-	dp := &sim.DataPlane{Pairs: map[sim.Pair][]sim.Path{
+	hosts, trace := fromPairs(map[sim.Pair][]sim.Path{
 		// Real host pair and its fake twin take different paths between
 		// the same edge routers r1→r9.
 		{Src: "h1", Dst: "h2"}:     {delivered("h1", "r1", "r5", "r9", "h2")},
 		{Src: "h1", Dst: "h2-fk1"}: {delivered("h1", "r1", "r6", "r9", "h2-fk1")},
 		// A pair on a single shared gateway is ignored.
 		{Src: "h3", Dst: "h4"}: {delivered("h3", "r2", "h4")},
-	}}
+	})
 	gw := map[string]string{"h1": "r1", "h2": "r9", "h2-fk1": "r9", "h3": "r2", "h4": "r2"}
-	got := ComputeRouteAnonymity(dp, gw)
+	got := ComputeRouteAnonymity(hosts, trace, gw)
 	if got.Pairs != 1 {
 		t.Fatalf("pairs = %d, want 1", got.Pairs)
 	}
@@ -33,26 +51,26 @@ func TestComputeRouteAnonymityBasic(t *testing.T) {
 func TestComputeRouteAnonymityRepresentativePath(t *testing.T) {
 	// One host pair with a large ECMP set must count as ONE observed
 	// path, not len(ECMP) paths.
-	dp := &sim.DataPlane{Pairs: map[sim.Pair][]sim.Path{
+	hosts, trace := fromPairs(map[sim.Pair][]sim.Path{
 		{Src: "h1", Dst: "h2"}: {
 			delivered("h1", "r1", "ra", "r9", "h2"),
 			delivered("h1", "r1", "rb", "r9", "h2"),
 			delivered("h1", "r1", "rc", "r9", "h2"),
 		},
-	}}
+	})
 	gw := map[string]string{"h1": "r1", "h2": "r9"}
-	got := ComputeRouteAnonymity(dp, gw)
+	got := ComputeRouteAnonymity(hosts, trace, gw)
 	if got.Min != 1 || got.Avg != 1 {
 		t.Fatalf("ECMP fan-out leaked into N_r: %+v", got)
 	}
 }
 
 func TestComputeRouteAnonymityIgnoresFailures(t *testing.T) {
-	dp := &sim.DataPlane{Pairs: map[sim.Pair][]sim.Path{
+	hosts, trace := fromPairs(map[sim.Pair][]sim.Path{
 		{Src: "h1", Dst: "h2"}: {{Hops: []string{"h1", "r1"}, Status: sim.BlackHoled}},
-	}}
+	})
 	gw := map[string]string{"h1": "r1", "h2": "r9"}
-	got := ComputeRouteAnonymity(dp, gw)
+	got := ComputeRouteAnonymity(hosts, trace, gw)
 	if got.Pairs != 0 || got.Min != 0 {
 		t.Fatalf("failure paths counted: %+v", got)
 	}

@@ -18,7 +18,7 @@ func fatTreeTopo(t *testing.T) (*topology.Graph, *sim.DataPlane, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap.Net.Topology(), snap.ExtractDataPlane(), cfg.Hosts()
+	return snap.Net.Topology(), snap.DataPlaneFor(cfg.Hosts()), cfg.Hosts()
 }
 
 func TestObfuscateAddsVirtualLinks(t *testing.T) {
@@ -72,7 +72,7 @@ func TestForwardingTreesDeliver(t *testing.T) {
 func TestObfuscationBreaksMostPaths(t *testing.T) {
 	g, origDP, hosts := fatTreeTopo(t)
 	res := Obfuscate(g, Options{Seed: 3})
-	kept := sim.ExactlyKeptFraction(origDP, res.DataPlane(hosts), hosts)
+	kept := sim.ExactlyKeptFraction(origDP, sim.DataPlaneOf(hosts, res.TraceFrom), hosts)
 	if kept > 0.3 {
 		t.Fatalf("NetHide kept %.0f%% of paths; the paper's comparison expects <30%%", 100*kept)
 	}
@@ -110,8 +110,7 @@ func TestDataPlaneDisconnected(t *testing.T) {
 	_ = g.AddEdge("ha", "r1")
 	_ = g.AddEdge("hb", "r2") // r1 and r2 are not connected
 	res := Obfuscate(g, Options{Seed: 1, FlipFraction: 0.5})
-	dp := res.DataPlane([]string{"ha", "hb"})
-	ps := dp.Pairs[sim.Pair{Src: "ha", Dst: "hb"}]
+	ps := res.TraceFrom("ha", "hb")
 	if len(ps) != 1 || ps[0].Status != sim.BlackHoled {
 		t.Fatalf("expected black hole for disconnected pair, got %v", ps)
 	}

@@ -205,53 +205,33 @@ func (e *destEngine) appendSuffix(dst []string, node, ei int32) []string {
 	return dst
 }
 
-// viewOf materializes a node's canonical (sorted) path list and 128-bit
-// fingerprint from its memo. The canonical key bytes are streamed through
-// the engine's reusable scratch buffer and hashed — never retained as a
-// string. Callers hold mu.
-func (e *destEngine) viewOf(i int32) ([]Path, Digest) {
+// viewOf materializes a node's canonical (sorted) path list from its
+// memo. Callers hold mu.
+func (e *destEngine) viewOf(i int32) []Path {
 	m := e.nodes[i].memo
 	ps := make([]Path, len(m.order))
-	buf := e.scratch[:0]
 	for k, j := range m.order {
-		hops := e.materialize(i, j)
-		ps[k] = Path{Hops: hops, Status: m.status[j]}
-		if k > 0 {
-			buf = append(buf, '\n')
-		}
-		buf = append(buf, m.status[j].String()...)
-		buf = append(buf, ':')
-		for h, name := range hops {
-			if h > 0 {
-				buf = append(buf, '>')
-			}
-			buf = append(buf, name...)
-		}
+		ps[k] = Path{Hops: e.materialize(i, j), Status: m.status[j]}
 	}
-	e.scratch = buf[:0]
-	return ps, digestOfBytes(buf)
+	return ps
 }
 
 // digestFor returns only the fingerprint of the canonical path set from
 // src, streaming the key bytes out of the suffix memos without
 // materializing a single hop list. scratch is a caller-owned reusable
-// buffer, returned (possibly grown) for the next call. Unlike pathsFor
-// the result is not cached in bySrc — digest-only extraction queries each
-// source exactly once per destination.
+// buffer, returned (possibly grown) for the next call. Nothing is cached
+// per source: digest-only extraction queries each source exactly once per
+// destination, on an engine it then drops.
 func (e *destEngine) digestFor(src string, scratch []byte) (Digest, []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r, ok := e.bySrc[src]; ok {
-		return r.fp, scratch
-	}
 	if !e.built {
 		e.build()
 	}
 	i := e.indexOf(src)
 	if n := &e.nodes[i]; n.loopy || n.maxLen > maxTraceDepth {
-		// Loop/deep fallback: the walk must enumerate paths anyway, so go
-		// through the caching path.
-		_, fp := e.pathsForLocked(src)
+		// Loop/deep fallback: the walk must enumerate paths anyway.
+		_, fp := sortPathsByKey(e.trace(i))
 		return fp, scratch
 	}
 	m := e.memoOf(i)
@@ -409,8 +389,8 @@ func (e *destEngine) deliveredTraceLocked(start int32) bool {
 // pathsForLocked(src), via the census for the memoizable region and the
 // count-only trace for loopy/deep sources. Callers hold mu.
 func (e *destEngine) deliveredFromLocked(src string) bool {
-	if r, ok := e.bySrc[src]; ok {
-		for _, p := range r.paths {
+	if ps, ok := e.bySrc[src]; ok {
+		for _, p := range ps {
 			if p.Status == Delivered {
 				return true
 			}
@@ -447,13 +427,6 @@ func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	return out
 }
 
-// srcResult is a finished per-source trace: canonically sorted paths plus
-// the fingerprint EqualOver-style comparisons use.
-type srcResult struct {
-	paths []Path
-	fp    Digest
-}
-
 // destEngine holds one destination's successor graph, per-node suffix
 // memos, and finished per-source results. All lazy state is guarded by mu
 // so concurrent TraceFrom calls on the same destination are safe; distinct
@@ -475,18 +448,16 @@ type destEngine struct {
 	idxOf  map[string]int32
 	extra  map[string]int32
 	nodes  []destNode
-	bySrc  map[string]srcResult
+	// bySrc caches finished per-source traces, canonically sorted.
+	bySrc map[string][]Path
 	// dinfo/dinfoOK cache the per-node delivered census (see delivInfo),
 	// filled lazily per node like the suffix memos and re-grown when
 	// indexOf appends out-of-config nodes.
 	dinfo   []delivInfo
 	dinfoOK []bool
-	// scratch is the reusable canonical-key byte buffer viewOf hashes
-	// through; guarded by mu like the rest of the lazy state.
-	scratch []byte
 	// failRes caches finished what-if traces per (failure, src); see
 	// whatif.go.
-	failRes map[string]srcResult
+	failRes map[string][]Path
 }
 
 // deviceIndex returns the Snapshot's shared device table (built once,
@@ -544,7 +515,7 @@ func (s *Snapshot) engineFor(dst string) *destEngine {
 }
 
 // transientEngineFor builds an engine for dst without registering it in
-// the Snapshot's cache: digest-only extraction (PairDigestsFor) creates
+// the Snapshot's cache: digest-only extraction (DataPlaneFor) creates
 // one engine per destination and drops it as soon as that destination's
 // column is hashed, so the successor graph and suffix-memo storage are
 // reclaimed instead of accumulating one retained engine per host. Returns
@@ -567,8 +538,8 @@ func (s *Snapshot) traceWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pathsFor returns the canonical path set and fingerprint from src toward
-// the engine's destination, computing it at most once per source.
+// pathsFor returns the canonical path set from src toward the engine's
+// destination, computing it at most once per source.
 //
 // The common case — src not on or upstream of a forwarding loop, longest
 // path within the depth budget — sorts the src node's memoized suffix set
@@ -576,34 +547,33 @@ func (s *Snapshot) traceWorkers() int {
 // passes through src, which is what makes extraction cheaper than
 // per-pair walking. The loop/deep fallback runs the hybrid recursive walk
 // instead.
-func (e *destEngine) pathsFor(src string) ([]Path, Digest) {
+func (e *destEngine) pathsFor(src string) []Path {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.pathsForLocked(src)
 }
 
 // pathsForLocked is pathsFor for callers already holding mu.
-func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
-	if r, ok := e.bySrc[src]; ok {
-		return r.paths, r.fp
+func (e *destEngine) pathsForLocked(src string) []Path {
+	if ps, ok := e.bySrc[src]; ok {
+		return ps
 	}
 	if !e.built {
 		e.build()
 	}
 	var ps []Path
-	var fp Digest
 	i := e.indexOf(src)
 	if n := &e.nodes[i]; !n.loopy && n.maxLen <= maxTraceDepth {
 		e.memoOf(i)
-		ps, fp = e.viewOf(i)
+		ps = e.viewOf(i)
 	} else {
-		ps, fp = sortPathsByKey(e.trace(i))
+		ps, _ = sortPathsByKey(e.trace(i))
 	}
 	if e.bySrc == nil {
-		e.bySrc = make(map[string]srcResult)
+		e.bySrc = make(map[string][]Path)
 	}
-	e.bySrc[src] = srcResult{paths: ps, fp: fp}
-	return ps, fp
+	e.bySrc[src] = ps
+	return ps
 }
 
 // routeToward replicates the recursive walker's FIB choice: an exact hit

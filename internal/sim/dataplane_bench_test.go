@@ -14,7 +14,8 @@ import (
 //	seq         destination-sharded engine, one worker
 //	par4 /      destination-sharded engine over the worker pool
 //	gomaxprocs
-//	dirty       one filter-mutation round re-tracing only dirty destinations
+//	dirty       one filter-mutation round re-tracing only dirty destinations,
+//	            seeded with the previous round's clean columns
 //
 // The seq-vs-naive ratio is the memoization win alone; dirty-vs-seq is the
 // per-round win of Algorithm 2's and strawman 2's fixing loops.
@@ -41,9 +42,8 @@ func benchNetworks(b *testing.B) []struct {
 	}
 }
 
-// coldSnapshot shares base's simulated FIBs but carries empty trace
-// caches, so each iteration pays the full extraction instead of reading
-// the per-destination cache of the previous one.
+// coldSnapshot shares base's simulated FIBs with the given extraction
+// worker count and empty trace caches.
 func coldSnapshot(base *Snapshot, workers int) *Snapshot {
 	return &Snapshot{Net: base.Net, FIBs: base.FIBs, OSPFDist: base.OSPFDist, workers: workers}
 }
@@ -110,7 +110,7 @@ func BenchmarkExtractDataPlane(b *testing.B) {
 				diff := view.InvalidateFilters()
 				next := SimulateNetOpts(view, Options{Parallelism: 1})
 				b.StartTimer()
-				prev = next.DataPlaneForDirty(hosts, prev, diff)
+				prev = next.DataPlaneForSeeded(hosts, cleanColumns(next, prev, diff))
 			}
 		})
 	}

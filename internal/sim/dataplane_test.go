@@ -15,21 +15,7 @@ import (
 // byte-identical — hop for hop, status for status, in canonical order —
 // on the full evaluation catalog, on randomized topologies, on FIBs
 // mutated to contain forwarding loops, black holes, and over-depth
-// chains, and under dirty-destination reuse.
-
-// naiveDataPlane extracts the data plane with the reference walker.
-func naiveDataPlane(s *Snapshot, hosts []string) map[Pair][]Path {
-	out := make(map[Pair][]Path)
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
-				continue
-			}
-			out[Pair{Src: src, Dst: dst}] = s.traceNaive(src, dst)
-		}
-	}
-	return out
-}
+// chains, and under seeded (dirty-destination) reuse.
 
 // samePaths reports whether two canonical path lists are byte-identical.
 func samePaths(a, b []Path) bool {
@@ -50,22 +36,40 @@ func samePaths(a, b []Path) bool {
 }
 
 // assertDataPlaneMatchesNaive compares an engine-built DataPlane against
-// the reference walker pair by pair, including the precomputed
-// fingerprints.
+// the reference walker pair by pair: TraceFrom must return the walker's
+// paths, and every digest must be the digest of the walker's canonical
+// path set.
 func assertDataPlaneMatchesNaive(t *testing.T, s *Snapshot, hosts []string, dp *DataPlane) {
 	t.Helper()
-	want := naiveDataPlane(s, hosts)
-	if len(dp.Pairs) != len(want) {
-		t.Fatalf("pair count = %d, want %d", len(dp.Pairs), len(want))
+	if got := dp.Hosts(); len(got) != len(hosts) {
+		t.Fatalf("plane covers %d hosts, want %d", len(got), len(hosts))
 	}
-	for k, wantPaths := range want {
-		got := dp.Pairs[k]
-		if !samePaths(got, wantPaths) {
-			t.Fatalf("pair %v: engine paths differ from naive walker\n got: %v\nwant: %v", k, got, wantPaths)
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			want := s.traceNaive(src, dst)
+			if got := s.TraceFrom(src, dst); !samePaths(got, want) {
+				t.Fatalf("pair %s->%s: engine paths differ from naive walker\n got: %v\nwant: %v", src, dst, got, want)
+			}
+			_, wantFP := sortPathsByKey(want)
+			got, ok := dp.Digest(src, dst)
+			if !ok || got != wantFP {
+				t.Fatalf("pair %s->%s: digest %x (covered %v) != digest of naive paths %x", src, dst, got, ok, wantFP)
+			}
 		}
-		if fp := dp.pairDigest(k); fp != digestOfKey(pathSetKey(wantPaths)) {
-			t.Fatalf("pair %v: fingerprint %x != digest of pathSetKey %q", k, fp, pathSetKey(wantPaths))
-		}
+	}
+}
+
+// assertExtractionMatchesNaive extracts the digest plane at parallelism
+// 1, 4 and GOMAXPROCS and pins each against the reference walker.
+func assertExtractionMatchesNaive(t *testing.T, s *Snapshot, hosts []string) {
+	t.Helper()
+	defer func(w int) { s.workers = w }(s.workers)
+	for _, par := range []int{1, 4, 0} {
+		s.workers = par
+		assertDataPlaneMatchesNaive(t, s, hosts, s.DataPlaneFor(hosts))
 	}
 }
 
@@ -86,8 +90,8 @@ func TestDataPlaneEngineMatchesNaiveCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dp := snap.ExtractDataPlane()
-				assertDataPlaneMatchesNaive(t, snap, cfg.Hosts(), dp)
+				hosts := cfg.Hosts()
+				assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
 			}
 		})
 	}
@@ -157,7 +161,7 @@ func TestDataPlaneEngineMatchesNaiveRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		hosts := cfg.Hosts()
-		assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+		assertExtractionMatchesNaive(t, snap, hosts)
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
@@ -209,7 +213,7 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 				fib[pfx] = &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}}
 			}
 		}
-		assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+		assertExtractionMatchesNaive(t, snap, hosts)
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
@@ -247,7 +251,7 @@ func TestDataPlaneEngineDeepPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := cfg.Hosts()
-	assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+	assertExtractionMatchesNaive(t, snap, hosts)
 	// Also from mid-chain routers: prefixes of every length around the
 	// depth boundary.
 	for _, dev := range names {
@@ -293,11 +297,34 @@ func attachIGPDeny(d *config.Device, iface string, pfx netip.Prefix) bool {
 	return true
 }
 
-// TestDataPlaneForDirtyRandom is the dirty-destination property test:
-// after each random filter mutation, DataPlaneForDirty carrying the
-// previous result forward must equal a from-scratch naive extraction, and
-// clean destinations must actually reuse the prior path slices.
-func TestDataPlaneForDirtyRandom(t *testing.T) {
+// cleanColumns is the previous plane's columns minus every destination
+// whose LAN prefix the filter diff affects — the seed a caller passes to
+// DataPlaneForSeeded after a filter mutation.
+func cleanColumns(s *Snapshot, prev *DataPlane, diff *FilterDiff) map[string][]byte {
+	cols := prev.ExportColumns()
+	for dst := range cols {
+		if diff.Affects(s.Net.HostPrefix[dst]) {
+			delete(cols, dst)
+		}
+	}
+	return cols
+}
+
+// assertSeededMatchesFresh pins a seeded plane to a fresh extraction and
+// to the reference walker.
+func assertSeededMatchesFresh(t *testing.T, s *Snapshot, hosts []string, seeded *DataPlane) {
+	t.Helper()
+	if diffs := DiffPairs(seeded, s.DataPlaneFor(hosts), hosts); len(diffs) != 0 {
+		t.Fatalf("seeded plane differs from a fresh plane on %d pairs (first: %v)", len(diffs), diffs[0])
+	}
+	assertDataPlaneMatchesNaive(t, s, hosts, seeded)
+}
+
+// TestDataPlaneForSeededRandom is the dirty-destination property test:
+// after each random filter mutation, DataPlaneForSeeded carrying the
+// previous plane's clean columns forward must equal a fresh extraction
+// and the naive walker's digests.
+func TestDataPlaneForSeededRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	protos := []netgen.Proto{netgen.OSPF, netgen.RIP, netgen.EIGRP}
 	for trial := 0; trial < 9; trial++ {
@@ -348,28 +375,8 @@ func TestDataPlaneForDirtyRandom(t *testing.T) {
 
 			diff := view.InvalidateFilters()
 			snap = SimulateNetOpts(view, Options{Parallelism: 1 + rng.Intn(4)})
-			got := snap.DataPlaneForDirty(hosts, prev, diff)
-			assertDataPlaneMatchesNaive(t, snap, hosts, got)
-
-			// Clean destinations must carry the previous slices forward,
-			// not re-trace.
-			for _, dst := range hosts {
-				if diff.Affects(snap.Net.HostPrefix[dst]) {
-					continue
-				}
-				for _, src := range hosts {
-					if src == dst {
-						continue
-					}
-					k := Pair{Src: src, Dst: dst}
-					if len(prev.Pairs[k]) == 0 {
-						continue
-					}
-					if &got.Pairs[k][0] != &prev.Pairs[k][0] {
-						t.Fatalf("trial %d round %d: clean pair %v was re-traced", trial, round, k)
-					}
-				}
-			}
+			got := snap.DataPlaneForSeeded(hosts, cleanColumns(snap, prev, diff))
+			assertSeededMatchesFresh(t, snap, hosts, got)
 			prev = got
 		}
 	}
@@ -420,10 +427,11 @@ func TestFilterDiffReporting(t *testing.T) {
 	}
 }
 
-// TestDataPlaneForDirtyBGP covers the eBGP attachment path on the
+// TestDataPlaneForSeededBGP covers the eBGP attachment path on the
 // Backbone network: a distribute-list denial on a BGP session must be
-// reported dirty and the dirty extraction must match the walker.
-func TestDataPlaneForDirtyBGP(t *testing.T) {
+// reported dirty and the seeded extraction must match a fresh one and
+// the walker.
+func TestDataPlaneForSeededBGP(t *testing.T) {
 	cfg, err := netgen.Backbone()
 	if err != nil {
 		t.Fatal(err)
@@ -461,6 +469,6 @@ func TestDataPlaneForDirtyBGP(t *testing.T) {
 		t.Fatalf("BGP deny not reported dirty for %v", pfx)
 	}
 	snap = SimulateNet(view)
-	got := snap.DataPlaneForDirty(hosts, prev, diff)
-	assertDataPlaneMatchesNaive(t, snap, hosts, got)
+	got := snap.DataPlaneForSeeded(hosts, cleanColumns(snap, prev, diff))
+	assertSeededMatchesFresh(t, snap, hosts, got)
 }

@@ -5,16 +5,13 @@ import (
 	"sort"
 )
 
-// This file is the memory-bounded fingerprint layer of the data-plane
-// engine. A pair's canonical path-set key — the sorted "<status>:<hops>"
-// lines joined with "\n" — used to be materialized as one string per
-// ordered host pair and retained for the lifetime of the DataPlane, which
-// is O(H²) joined strings whose lengths grow with path count and depth.
-// Fingerprints are now a fixed-size 128-bit digest of exactly that byte
-// sequence: equality of digests stands in for equality of canonical keys
-// everywhere only equality is needed (EqualOver, DiffPairs,
-// ExactlyKeptFraction), while diff and repair still work over the exact
-// materialized paths.
+// This file is the whole-plane layer of the data-plane engine. A pair's
+// canonical path-set key is the sorted "<status>:<hops>" lines joined
+// with "\n"; the data plane stores a fixed-size 128-bit digest of exactly
+// that byte sequence per ordered host pair and never the paths or the key
+// itself. Equality of digests stands in for equality of canonical keys
+// everywhere a whole plane is compared (DiffPairs, ExactlyKeptFraction);
+// callers that need hop sequences name their pairs and call TraceFrom.
 //
 // The digest is the first 128 bits of SHA-256 over the canonical key
 // bytes. Two distinct path sets collide with probability ~2⁻¹²⁸ per pair
@@ -26,19 +23,6 @@ import (
 // zero value is reserved for the empty path set (no trace data), matching
 // the empty canonical key.
 type Digest [16]byte
-
-// digestOfKey fingerprints an already-materialized canonical key string.
-// It is the fallback for hand-assembled DataPlanes; the engine paths
-// stream the same bytes without building the string.
-func digestOfKey(key string) Digest {
-	if len(key) == 0 {
-		return Digest{}
-	}
-	sum := sha256.Sum256([]byte(key))
-	var d Digest
-	copy(d[:], sum[:16])
-	return d
-}
 
 // digestOfBytes fingerprints canonical key content accumulated in a
 // reusable scratch buffer.
@@ -52,13 +36,15 @@ func digestOfBytes(b []byte) Digest {
 	return d
 }
 
-// PairDigests is a fingerprint-only data plane: one Digest per ordered
-// host pair, stored in a flat dense array (16 bytes per pair, no per-pair
-// path or string storage). It answers the same equality questions as a
-// full DataPlane at a peak heap cost that scales with topology size
-// rather than with H² path data; callers that need the actual hop
-// sequences (diff explanation, repair) materialize them separately.
-type PairDigests struct {
+// Pair identifies an ordered host pair.
+type Pair struct{ Src, Dst string }
+
+// DataPlane is the collection of all host-to-host forwarding behaviour —
+// the DP of the paper's formalization — held as one Digest per ordered
+// host pair in a flat dense array (16 bytes per pair, no per-pair path or
+// string storage), so its peak heap scales with the host count rather
+// than with H² path data.
+type DataPlane struct {
 	hosts []string
 	index map[string]int
 	// fps[j*len(hosts)+i] is the digest for Pair{Src: hosts[i], Dst:
@@ -66,82 +52,62 @@ type PairDigests struct {
 	fps []Digest
 }
 
-// Hosts returns the host list the digests cover (shared; read-only).
-func (pd *PairDigests) Hosts() []string { return pd.hosts }
+func newDataPlane(hosts []string) *DataPlane {
+	dp := &DataPlane{
+		hosts: hosts,
+		index: make(map[string]int, len(hosts)),
+		fps:   make([]Digest, len(hosts)*len(hosts)),
+	}
+	for i, h := range hosts {
+		dp.index[h] = i
+	}
+	return dp
+}
+
+// Hosts returns the host list the plane covers (shared; read-only).
+func (dp *DataPlane) Hosts() []string { return dp.hosts }
 
 // Digest returns the fingerprint for an ordered pair; ok is false when
-// either host is outside the covered set.
-func (pd *PairDigests) Digest(src, dst string) (Digest, bool) {
-	i, oki := pd.index[src]
-	j, okj := pd.index[dst]
+// either host is outside the covered set, and the digest is then the
+// zero (empty path set) value.
+func (dp *DataPlane) Digest(src, dst string) (Digest, bool) {
+	i, oki := dp.index[src]
+	j, okj := dp.index[dst]
 	if !oki || !okj {
 		return Digest{}, false
 	}
-	return pd.fps[j*len(pd.hosts)+i], true
+	return dp.fps[j*len(dp.hosts)+i], true
 }
 
-// Equal reports whether two digest planes agree on every ordered pair of
-// a's hosts — the digest analogue of EqualOver.
-func (pd *PairDigests) Equal(other *PairDigests) bool {
-	return len(pd.DiffPairs(other)) == 0
-}
-
-// DiffPairs returns the ordered pairs (drawn from pd's hosts) whose
-// digests differ, in sorted order — the digest analogue of DiffPairs over
-// full DataPlanes.
-func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
-	var out []Pair
-	for j, dst := range pd.hosts {
-		for i, src := range pd.hosts {
-			if i == j {
-				continue
-			}
-			a := pd.fps[j*len(pd.hosts)+i]
-			b, ok := other.Digest(src, dst)
-			if !ok || a != b {
-				out = append(out, Pair{Src: src, Dst: dst})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// PairDigestsFor computes the fingerprint of every ordered pair drawn
-// from hosts without materializing any path: per destination it builds a
-// transient successor-graph engine, streams each source's canonical key
-// bytes out of the structural suffix memos, and releases the engine
-// before moving on. Peak heap is bounded by the worker count times one
-// destination's memo storage (which scales with topology size) plus the
-// flat 16-byte-per-pair result — never by H² materialized paths. The
-// digests are identical to the ones a full DataPlaneFor extraction
-// computes for the same Snapshot.
-func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
-	return s.PairDigestsForSeeded(hosts, nil)
+// DataPlaneFor computes the fingerprint of every ordered pair drawn from
+// hosts (used to restrict the anonymized network's DP to real hosts)
+// without materializing any path: per destination it builds a transient
+// successor-graph engine, streams each source's canonical key bytes out
+// of the structural suffix memos, and releases the engine before moving
+// on. Peak heap is bounded by the worker count times one destination's
+// memo storage plus the flat 16-byte-per-pair result. The work is
+// sharded by destination over the Snapshot's worker pool into
+// index-addressed slots, so the output is identical at any parallelism.
+func (s *Snapshot) DataPlaneFor(hosts []string) *DataPlane {
+	return s.DataPlaneForSeeded(hosts, nil)
 }
 
 // digestColLen is the serialized size of one destination's digest
 // column: one 16-byte digest per source, in hosts order.
 func digestColLen(hosts []string) int { return len(hosts) * 16 }
 
-// ExportColumns serializes the digest plane as per-destination columns:
-// the column for destination d is the concatenation of the (src, d)
-// digests for every src in the plane's hosts order (the zero diagonal
-// slot included, so a column is always 16×len(hosts) bytes). Columns
-// are the unit of reuse for checkpointed digest planes — a resumed job
-// seeds PairDigestsForSeeded with the columns of destinations its edit
-// left clean.
-func (pd *PairDigests) ExportColumns() map[string][]byte {
-	h := len(pd.hosts)
+// ExportColumns serializes the plane as per-destination columns: the
+// column for destination d is the concatenation of the (src, d) digests
+// for every src in the plane's hosts order (the zero diagonal slot
+// included, so a column is always 16×len(hosts) bytes). Columns are the
+// unit of reuse: a resumed job, or a strawman round whose filter edit
+// left a destination clean, seeds DataPlaneForSeeded with them.
+func (dp *DataPlane) ExportColumns() map[string][]byte {
+	h := len(dp.hosts)
 	out := make(map[string][]byte, h)
-	for j, dst := range pd.hosts {
-		col := make([]byte, 0, digestColLen(pd.hosts))
-		for _, d := range pd.fps[j*h : (j+1)*h] {
+	for j, dst := range dp.hosts {
+		col := make([]byte, 0, digestColLen(dp.hosts))
+		for _, d := range dp.fps[j*h : (j+1)*h] {
 			col = append(col, d[:]...)
 		}
 		out[dst] = col
@@ -149,29 +115,22 @@ func (pd *PairDigests) ExportColumns() map[string][]byte {
 	return out
 }
 
-// PairDigestsForSeeded is PairDigestsFor with a per-destination seed: a
+// DataPlaneForSeeded is DataPlaneFor with a per-destination seed: a
 // destination whose seed column is present and well-formed (exactly
 // 16×len(hosts) bytes, in hosts order — ExportColumns of a plane over
 // the same host list) is decoded from the seed instead of extracted
 // from the Snapshot; only the remaining destinations pay a
 // successor-graph engine. Seed columns are trusted — the caller
-// guarantees they came from an identical-decision Snapshot over the
-// same hosts — and malformed or missing columns silently fall back to
-// extraction, so a stale or partial seed degrades to correct work, not
-// to wrong digests.
-func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) *PairDigests {
-	pd := &PairDigests{
-		hosts: hosts,
-		index: make(map[string]int, len(hosts)),
-		fps:   make([]Digest, len(hosts)*len(hosts)),
-	}
-	for i, h := range hosts {
-		pd.index[h] = i
-	}
+// guarantees they came from a Snapshot that forwards identically toward
+// that destination over the same hosts — and malformed or missing
+// columns silently fall back to extraction, so a stale or partial seed
+// degrades to correct work, not to wrong digests.
+func (s *Snapshot) DataPlaneForSeeded(hosts []string, seed map[string][]byte) *DataPlane {
+	dp := newDataPlane(hosts)
 	colLen := digestColLen(hosts)
 	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
-		row := pd.fps[j*len(hosts) : (j+1)*len(hosts)]
+		row := dp.fps[j*len(hosts) : (j+1)*len(hosts)]
 		if col, ok := seed[dst]; ok && len(col) == colLen {
 			for i := range row {
 				copy(row[i][:], col[i*16:])
@@ -191,27 +150,77 @@ func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) 
 			row[i], scratch = e.digestFor(src, scratch)
 		}
 	})
-	return pd
+	return dp
 }
 
-// Digests derives the fingerprint-only view of an already-extracted
-// DataPlane, reusing its precomputed per-pair digests.
-func (dp *DataPlane) Digests(hosts []string) *PairDigests {
-	pd := &PairDigests{
-		hosts: hosts,
-		index: make(map[string]int, len(hosts)),
-		fps:   make([]Digest, len(hosts)*len(hosts)),
-	}
-	for i, h := range hosts {
-		pd.index[h] = i
-	}
+// DataPlaneOf builds a plane from an arbitrary per-pair trace function —
+// for path sources that are not a Snapshot, such as an obfuscated
+// topology's virtual paths. Each pair's paths are canonically sorted and
+// hashed exactly as DataPlaneFor hashes a simulated pair.
+func DataPlaneOf(hosts []string, trace func(src, dst string) []Path) *DataPlane {
+	dp := newDataPlane(hosts)
 	for j, dst := range hosts {
 		for i, src := range hosts {
-			if i == j {
-				continue
+			if i != j {
+				_, dp.fps[j*len(hosts)+i] = sortPathsByKey(trace(src, dst))
 			}
-			pd.fps[j*len(hosts)+i] = dp.pairDigest(Pair{Src: src, Dst: dst})
 		}
 	}
-	return pd
+	return dp
 }
+
+// DiffPairs returns the ordered pairs (drawn from hosts) whose path sets
+// differ between two data planes, in sorted order. A pair outside a
+// plane's hosts counts as the empty path set.
+func DiffPairs(a, b *DataPlane, hosts []string) []Pair {
+	var out []Pair
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			da, _ := a.Digest(src, dst)
+			db, _ := b.Digest(src, dst)
+			if da != db {
+				out = append(out, Pair{Src: src, Dst: dst})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
+		}
+		return out[i].Dst < out[j].Dst
+	})
+	return out
+}
+
+// ExactlyKeptFraction returns the fraction of ordered host pairs whose path
+// sets are preserved exactly — the paper's route utility metric P_U
+// (Fig. 8).
+func ExactlyKeptFraction(orig, anon *DataPlane, hosts []string) float64 {
+	total := len(hosts) * (len(hosts) - 1)
+	if total == 0 {
+		return 1
+	}
+	return float64(total-len(DiffPairs(orig, anon, hosts))) / float64(total)
+}
+
+// PairDigestsFor is DataPlaneFor under its former name.
+//
+// Deprecated: use DataPlaneFor. Kept only because the benchmark harness
+// under perfbench/ still calls it.
+func (s *Snapshot) PairDigestsFor(hosts []string) *DataPlane { return s.DataPlaneFor(hosts) }
+
+// Equal reports whether two planes agree on every ordered pair of dp's
+// hosts.
+//
+// Deprecated: use DiffPairs. Kept only because the benchmark harness
+// under perfbench/ still calls it.
+func (dp *DataPlane) Equal(other *DataPlane) bool { return len(dp.DiffPairs(other)) == 0 }
+
+// DiffPairs is DiffPairs(dp, other, dp.Hosts()).
+//
+// Deprecated: use the DiffPairs function. Kept only because the
+// benchmark harness under perfbench/ still calls it.
+func (dp *DataPlane) DiffPairs(other *DataPlane) []Pair { return DiffPairs(dp, other, dp.hosts) }

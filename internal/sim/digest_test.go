@@ -8,10 +8,10 @@ import (
 )
 
 // TestPairDigestsMatchDataPlane pins the digest-only extraction path
-// against the full extraction path: on every evaluation network,
-// PairDigestsFor (transient engines, no path materialization) must
-// produce exactly the digest the full DataPlane stores for every ordered
-// pair — which the naive-walker tests already pin to pathSetKey.
+// against hashing materialized paths: on every evaluation network,
+// DataPlaneFor (transient engines, no path materialization) must produce
+// exactly the digest DataPlaneOf computes from the cached engines'
+// TraceFrom paths for every ordered pair.
 func TestPairDigestsMatchDataPlane(t *testing.T) {
 	for _, spec := range netgen.Catalog() {
 		spec := spec
@@ -27,8 +27,8 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 					t.Fatal(err)
 				}
 				hosts := snap.Hosts()
-				pd := snap.PairDigestsFor(hosts)
-				dp := snap.DataPlaneFor(hosts)
+				pd := snap.DataPlaneFor(hosts)
+				dp := DataPlaneOf(hosts, snap.TraceFrom)
 				for _, src := range hosts {
 					for _, dst := range hosts {
 						if src == dst {
@@ -36,17 +36,14 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 						}
 						got, ok := pd.Digest(src, dst)
 						if !ok {
-							t.Fatalf("par %d: pair %s->%s missing from PairDigests", par, src, dst)
+							t.Fatalf("par %d: pair %s->%s missing from DataPlane", par, src, dst)
 						}
-						if want := dp.pairDigest(Pair{Src: src, Dst: dst}); got != want {
-							t.Fatalf("par %d: pair %s->%s digest %x != full-extraction %x", par, src, dst, got, want)
+						if want, _ := dp.Digest(src, dst); got != want {
+							t.Fatalf("par %d: pair %s->%s digest %x != materialized %x", par, src, dst, got, want)
 						}
 					}
 				}
-				if !pd.Equal(dp.Digests(hosts)) {
-					t.Fatalf("par %d: PairDigests not Equal to DataPlane-derived digests", par)
-				}
-				if diff := pd.DiffPairs(dp.Digests(hosts)); len(diff) != 0 {
+				if diff := DiffPairs(pd, dp, hosts); len(diff) != 0 {
 					t.Fatalf("par %d: unexpected digest diff %v", par, diff)
 				}
 			}
@@ -54,9 +51,10 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 	}
 }
 
-// TestPairDigestsLoopFallback exercises the digest path through the
+// TestPairDigestsCorruptedFIBs exercises the digest path through the
 // loop/deep fallback: corrupted FIBs with forwarding loops and black
-// holes must digest identically via PairDigestsFor and full extraction.
+// holes must digest identically via DataPlaneFor and hashed TraceFrom
+// paths.
 func TestPairDigestsCorruptedFIBs(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
@@ -67,15 +65,15 @@ func TestPairDigestsCorruptedFIBs(t *testing.T) {
 		}
 		corruptFIBs(snap, rng)
 		hosts := snap.Hosts()
-		pd := snap.PairDigestsFor(hosts)
-		dp := snap.DataPlaneFor(hosts)
+		pd := snap.DataPlaneFor(hosts)
+		dp := DataPlaneOf(hosts, snap.TraceFrom)
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				if src == dst {
 					continue
 				}
 				got, _ := pd.Digest(src, dst)
-				if want := dp.pairDigest(Pair{Src: src, Dst: dst}); got != want {
+				if want, _ := dp.Digest(src, dst); got != want {
 					t.Fatalf("trial %d: pair %s->%s digest mismatch", trial, src, dst)
 				}
 			}
@@ -84,7 +82,8 @@ func TestPairDigestsCorruptedFIBs(t *testing.T) {
 }
 
 // TestPairDigestsDiffPairsMatchesDataPlane checks the digest diff against
-// the full-plane diff across two genuinely different snapshots.
+// a per-pair comparison of materialized paths across two genuinely
+// different snapshots.
 func TestPairDigestsDiffPairsMatchesDataPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomSimNet(t, netgen.OSPF, rng)
@@ -98,18 +97,29 @@ func TestPairDigestsDiffPairsMatchesDataPlane(t *testing.T) {
 	}
 	corruptFIBs(snapB, rng)
 	hosts := snapA.Hosts()
-	wantDiff := DiffPairs(snapA.DataPlaneFor(hosts), snapB.DataPlaneFor(hosts), hosts)
-	gotDiff := snapA.PairDigestsFor(hosts).DiffPairs(snapB.PairDigestsFor(hosts))
+	var wantDiff []Pair
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst && !samePaths(snapA.TraceFrom(src, dst), snapB.TraceFrom(src, dst)) {
+				wantDiff = append(wantDiff, Pair{Src: src, Dst: dst})
+			}
+		}
+	}
+	if len(wantDiff) == 0 {
+		t.Fatal("corruption left the snapshots forwarding identically")
+	}
+	gotDiff := DiffPairs(snapA.DataPlaneFor(hosts), snapB.DataPlaneFor(hosts), hosts)
 	if len(gotDiff) != len(wantDiff) {
-		t.Fatalf("digest diff %d pairs, full diff %d pairs", len(gotDiff), len(wantDiff))
+		t.Fatalf("digest diff %d pairs, path diff %d pairs", len(gotDiff), len(wantDiff))
 	}
 	for i := range gotDiff {
 		if gotDiff[i] != wantDiff[i] {
 			t.Fatalf("diff[%d] = %v, want %v", i, gotDiff[i], wantDiff[i])
 		}
 	}
-	if eq := snapA.PairDigestsFor(hosts).Equal(snapB.PairDigestsFor(hosts)); eq != (len(wantDiff) == 0) {
-		t.Fatalf("Equal = %v inconsistent with %d differing pairs", eq, len(wantDiff))
+	total := len(hosts) * (len(hosts) - 1)
+	if got := ExactlyKeptFraction(snapA.DataPlaneFor(hosts), snapB.DataPlaneFor(hosts), hosts); got != float64(total-len(wantDiff))/float64(total) {
+		t.Fatalf("ExactlyKeptFraction = %v inconsistent with %d differing pairs", got, len(wantDiff))
 	}
 }
 
@@ -154,11 +164,10 @@ func BenchmarkExtractDigestsFatTree08(b *testing.B) {
 	hosts := snap.Hosts()
 	b.ReportAllocs()
 	b.ResetTimer()
-	// PairDigestsFor uses transient engines, so every iteration re-does
-	// the full per-destination analysis — unlike DataPlaneFor, which would
-	// serve iterations 2..N from the Snapshot's engine cache.
+	// DataPlaneFor uses transient engines, so every iteration re-does
+	// the full per-destination analysis.
 	for i := 0; i < b.N; i++ {
-		_ = snap.PairDigestsFor(hosts)
+		_ = snap.DataPlaneFor(hosts)
 	}
 }
 
@@ -175,14 +184,12 @@ func BenchmarkSortPathsByKeyFatTree08(b *testing.B) {
 		b.Fatal(err)
 	}
 	hosts := snap.Hosts()
-	dp := snap.DataPlaneFor(hosts)
 	var sets [][]Path
-	for _, ps := range dp.Pairs {
-		if len(ps) > 0 {
-			sets = append(sets, ps)
-		}
-		if len(sets) == 256 {
-			break
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if ps := snap.TraceFrom(src, dst); len(ps) > 0 && len(sets) < 256 {
+				sets = append(sets, ps)
+			}
 		}
 	}
 	b.ReportAllocs()
@@ -206,15 +213,15 @@ func TestPairDigestsSeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := snap.Hosts()
-	want := snap.PairDigestsFor(hosts)
+	want := snap.DataPlaneFor(hosts)
 	cols := want.ExportColumns()
 	if len(cols) != len(hosts) {
 		t.Fatalf("ExportColumns: %d columns, want %d", len(cols), len(hosts))
 	}
 
 	// Full seed round trip: every pair identical, no extraction needed.
-	seeded := snap.PairDigestsForSeeded(hosts, cols)
-	if !seeded.Equal(want) || !want.Equal(seeded) {
+	seeded := snap.DataPlaneForSeeded(hosts, cols)
+	if !samePlane(seeded, want) || !samePlane(want, seeded) {
 		t.Fatal("fully seeded plane differs from extracted plane")
 	}
 
@@ -224,7 +231,7 @@ func TestPairDigestsSeeded(t *testing.T) {
 		partial[d] = c
 	}
 	delete(partial, hosts[0])
-	if pd := snap.PairDigestsForSeeded(hosts, partial); !pd.Equal(want) {
+	if pd := snap.DataPlaneForSeeded(hosts, partial); !samePlane(pd, want) {
 		t.Fatal("partially seeded plane differs from extracted plane")
 	}
 
@@ -237,7 +244,7 @@ func TestPairDigestsSeeded(t *testing.T) {
 	}
 	victim := hosts[len(hosts)-1]
 	corrupt[victim][0] ^= 0xff
-	pd := snap.PairDigestsForSeeded(hosts, corrupt)
+	pd := snap.DataPlaneForSeeded(hosts, corrupt)
 	var src string
 	for _, h := range hosts {
 		if h != victim {
@@ -252,11 +259,17 @@ func TestPairDigestsSeeded(t *testing.T) {
 
 	// Malformed column lengths fall back to extraction.
 	bad := map[string][]byte{victim: corrupt[victim][:8]}
-	if pd := snap.PairDigestsForSeeded(hosts, bad); !pd.Equal(want) {
+	if pd := snap.DataPlaneForSeeded(hosts, bad); !samePlane(pd, want) {
 		t.Fatal("short seed column was not ignored")
 	}
 	bad[victim] = append(corrupt[victim], 0)
-	if pd := snap.PairDigestsForSeeded(hosts, bad); !pd.Equal(want) {
+	if pd := snap.DataPlaneForSeeded(hosts, bad); !samePlane(pd, want) {
 		t.Fatal("overlong seed column was not ignored")
 	}
+}
+
+// samePlane reports whether two planes agree on every ordered pair of
+// a's hosts.
+func samePlane(a, b *DataPlane) bool {
+	return len(DiffPairs(a, b, a.Hosts())) == 0
 }

@@ -9,8 +9,8 @@ import (
 // FilterDiff summarizes what changed between two filter views of a Net:
 // the set of destination prefixes whose deny decision may have flipped
 // anywhere in the network. InvalidateFilters returns one so callers can
-// re-trace only the destinations a filter mutation can affect (see
-// DataPlaneForDirty) and keep prior results for the rest.
+// re-trace only the destinations a filter mutation can affect and seed
+// DataPlaneForSeeded with the prior columns of the rest.
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route

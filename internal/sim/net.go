@@ -185,8 +185,9 @@ func compileList(pl *config.PrefixList) *listEval {
 // enablement) invalidates the whole view and requires a fresh Build.
 //
 // The returned FilterDiff reports which destination prefixes may see a
-// different deny decision than under the previous view; pass it to
-// Snapshot.DataPlaneForDirty to re-trace only affected destinations.
+// different deny decision than under the previous view; drop the
+// affected destinations' columns from a prior plane and pass the rest to
+// Snapshot.DataPlaneForSeeded to re-trace only affected destinations.
 // Ignoring the result is always safe.
 //
 // Not safe concurrently with a running SimulateNet on the same Net.

@@ -370,16 +370,23 @@ func TestFIBLookupLongestPrefixMatch(t *testing.T) {
 func TestDataPlaneExtractionAndDiff(t *testing.T) {
 	cfg := figure2Network(t)
 	s := mustSim(t, cfg)
-	dp := s.ExtractDataPlane()
-	if len(dp.Pairs) != 6 { // 3 hosts × 2
-		t.Fatalf("pairs = %d", len(dp.Pairs))
+	hosts := cfg.Hosts()
+	dp := s.DataPlaneFor(hosts)
+	if len(dp.Hosts()) != 3 {
+		t.Fatalf("hosts = %v", dp.Hosts())
 	}
-	if !dp.Reachable("h1", "h4") {
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if d, ok := dp.Digest(src, dst); src != dst && (!ok || d == (Digest{})) {
+				t.Fatalf("pair %s->%s: digest %x covered %v", src, dst, d, ok)
+			}
+		}
+	}
+	if !wantDelivered(s.TraceFrom("h1", "h4")) {
 		t.Fatal("h1→h4 should be reachable")
 	}
-	hosts := cfg.Hosts()
-	if !EqualOver(dp, dp, hosts) {
-		t.Fatal("DP must equal itself")
+	if diff := DiffPairs(dp, dp, hosts); len(diff) != 0 {
+		t.Fatalf("DP must equal itself, diff = %v", diff)
 	}
 	if got := ExactlyKeptFraction(dp, dp, hosts); got != 1 {
 		t.Fatalf("kept fraction = %v", got)
@@ -395,7 +402,7 @@ func TestDataPlaneExtractionAndDiff(t *testing.T) {
 	r1.EnsurePrefixList("F").Deny(h4)
 	r1.OSPF.InFilters[local.Iface] = "F"
 	s2 := mustSim(t, cfg2)
-	dp2 := s2.ExtractDataPlane()
+	dp2 := s2.DataPlaneFor(hosts)
 	diff := DiffPairs(dp, dp2, hosts)
 	if len(diff) != 1 || diff[0] != (Pair{Src: "h1", Dst: "h4"}) {
 		t.Fatalf("diff = %v", diff)
@@ -429,8 +436,8 @@ func TestRoundTripThroughTextPreservesDataPlane(t *testing.T) {
 	}
 	s2 := mustSim(t, cfg2)
 	hosts := cfg.Hosts()
-	if !EqualOver(s1.ExtractDataPlane(), s2.ExtractDataPlane(), hosts) {
-		t.Fatal("data plane changed across render/parse round trip")
+	if diff := DiffPairs(s1.DataPlaneFor(hosts), s2.DataPlaneFor(hosts), hosts); len(diff) != 0 {
+		t.Fatalf("data plane changed across render/parse round trip: %v", diff)
 	}
 }
 

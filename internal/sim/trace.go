@@ -2,7 +2,6 @@ package sim
 
 import (
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -87,63 +86,7 @@ func (s *Snapshot) TraceFrom(start, dst string) []Path {
 	if e == nil {
 		return nil
 	}
-	ps, _ := e.pathsFor(start)
-	return ps
-}
-
-// traceNaive is the seed per-pair recursive walker, kept verbatim (plus
-// the key-once canonical sort) as the differential-testing and
-// benchmarking reference for the memoized engine.
-func (s *Snapshot) traceNaive(start, dst string) []Path {
-	dstPfx, ok := s.Net.HostPrefix[dst]
-	if !ok {
-		return nil
-	}
-	dstAddr := hostAddr(s.Net, dst)
-	var out []Path
-	var walk func(cur string, hops []string, seen map[string]bool)
-	walk = func(cur string, hops []string, seen map[string]bool) {
-		if len(out) >= maxTracePaths {
-			return
-		}
-		hops = append(hops, cur)
-		if cur == dst {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Delivered})
-			return
-		}
-		if seen[cur] {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if len(hops) > maxTraceDepth {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		seen[cur] = true
-		defer delete(seen, cur)
-		fib := s.FIBs[cur]
-		var rt *Route
-		if fib != nil {
-			// Host LANs are the most specific prefixes in our model, so
-			// an exact hit on the destination prefix IS the LPM result;
-			// the linear scan only runs for aggregated/default routes.
-			if exact := fib[dstPfx]; exact != nil {
-				rt = exact
-			} else {
-				rt = fib.Lookup(dstAddr)
-			}
-		}
-		if rt == nil || len(rt.NextHops) == 0 {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-			return
-		}
-		for _, nh := range rt.NextHops {
-			walk(nh.Device, hops, seen)
-		}
-	}
-	walk(start, nil, make(map[string]bool))
-	out, _ = sortPathsByKey(out)
-	return out
+	return e.pathsFor(start)
 }
 
 // hostAddr returns the host's interface address.
@@ -155,197 +98,4 @@ func hostAddr(n *Net, host string) netip.Addr {
 		}
 	}
 	return netip.Addr{}
-}
-
-// Pair identifies an ordered host pair.
-type Pair struct{ Src, Dst string }
-
-// DataPlane is the collection of all host-to-host routing paths — the DP of
-// the paper's formalization. Path slices are shared with the Snapshot's
-// per-destination caches: treat them as read-only.
-type DataPlane struct {
-	Pairs map[Pair][]Path
-	// fps holds each pair's canonical path-set fingerprint — the 128-bit
-	// digest of the sorted path keys joined with "\n" (exactly pathSetKey
-	// of the pair's paths) — precomputed at extraction so EqualOver/
-	// DiffPairs/ExactlyKeptFraction compare 16-byte values instead of
-	// re-sorting, and so the DataPlane retains no per-pair key strings.
-	// Nil for hand-assembled DataPlanes, which fall back to hashing
-	// pathSetKey.
-	fps map[Pair]Digest
-}
-
-// pairDigest returns the pair's canonical path-set fingerprint.
-func (dp *DataPlane) pairDigest(k Pair) Digest {
-	if dp.fps != nil {
-		if fp, ok := dp.fps[k]; ok {
-			return fp
-		}
-	}
-	return digestOfKey(pathSetKey(dp.Pairs[k]))
-}
-
-// ExtractDataPlane traces every ordered pair of hosts in the network.
-func (s *Snapshot) ExtractDataPlane() *DataPlane {
-	return s.DataPlaneFor(s.Net.Cfg.Hosts())
-}
-
-// DataPlaneFor traces every ordered pair drawn from the given host list
-// (used to restrict the anonymized network's DP to real hosts). The work
-// is sharded by destination over the Snapshot's worker pool; results land
-// in index-addressed slots, so the output is identical at any parallelism.
-func (s *Snapshot) DataPlaneFor(hosts []string) *DataPlane {
-	return s.dataPlaneFor(hosts, nil, nil)
-}
-
-// DataPlaneForDirty is DataPlaneFor carrying forward prior results: pairs
-// whose destination the filter diff does not affect are copied from prev
-// instead of re-traced. A nil diff (or nil prev) means everything is
-// dirty; an empty diff reuses prev wholesale. Correctness rests on the
-// per-destination FIB independence invariant documented in
-// InvalidateFilters.
-func (s *Snapshot) DataPlaneForDirty(hosts []string, prev *DataPlane, diff *FilterDiff) *DataPlane {
-	if prev == nil {
-		return s.dataPlaneFor(hosts, nil, nil)
-	}
-	return s.dataPlaneFor(hosts, prev, diff)
-}
-
-// dpColumn is one destination's column of the data plane: the paths and
-// fingerprints from every source in host-list order (the src==dst slot
-// stays nil).
-type dpColumn struct {
-	paths [][]Path
-	fps   []Digest
-}
-
-func (s *Snapshot) dataPlaneFor(hosts []string, prev *DataPlane, diff *FilterDiff) *DataPlane {
-	cols := make([]dpColumn, len(hosts))
-	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
-		dst := hosts[j]
-		col := dpColumn{paths: make([][]Path, len(hosts)), fps: make([]Digest, len(hosts))}
-		reuse := prev != nil && !diff.Affects(s.Net.HostPrefix[dst])
-		var e *destEngine
-		for i, src := range hosts {
-			if src == dst {
-				continue
-			}
-			k := Pair{Src: src, Dst: dst}
-			if reuse {
-				if ps, ok := prev.Pairs[k]; ok {
-					col.paths[i] = ps
-					col.fps[i] = prev.pairDigest(k)
-					continue
-				}
-			}
-			if e == nil {
-				e = s.engineFor(dst)
-				if e == nil {
-					// Unknown destination: nil paths, like Trace.
-					break
-				}
-			}
-			col.paths[i], col.fps[i] = e.pathsFor(src)
-		}
-		cols[j] = col
-	})
-	n := len(hosts) * (len(hosts) - 1)
-	dp := &DataPlane{Pairs: make(map[Pair][]Path, n), fps: make(map[Pair]Digest, n)}
-	for j, dst := range hosts {
-		for i, src := range hosts {
-			if src == dst {
-				continue
-			}
-			k := Pair{Src: src, Dst: dst}
-			dp.Pairs[k] = cols[j].paths[i]
-			dp.fps[k] = cols[j].fps[i]
-		}
-	}
-	return dp
-}
-
-// pathSetKey canonicalizes a path list for equality checks.
-func pathSetKey(ps []Path) string {
-	keys := make([]string, 0, len(ps))
-	for _, p := range ps {
-		keys = append(keys, p.Key())
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-// EqualOver reports whether two data planes agree on every ordered pair of
-// the given hosts — the paper's route equivalence check.
-func EqualOver(a, b *DataPlane, hosts []string) bool {
-	return len(DiffPairs(a, b, hosts)) == 0
-}
-
-// DiffPairs returns the ordered pairs (drawn from hosts) whose path sets
-// differ between two data planes, in sorted order.
-func DiffPairs(a, b *DataPlane, hosts []string) []Pair {
-	var out []Pair
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
-				continue
-			}
-			k := Pair{Src: src, Dst: dst}
-			if a.pairDigest(k) != b.pairDigest(k) {
-				out = append(out, k)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// ExactlyKeptFraction returns the fraction of ordered host pairs whose path
-// sets are preserved exactly — the paper's route utility metric P_U
-// (Fig. 8).
-func ExactlyKeptFraction(orig, anon *DataPlane, hosts []string) float64 {
-	total := 0
-	kept := 0
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
-				continue
-			}
-			total++
-			k := Pair{Src: src, Dst: dst}
-			if orig.pairDigest(k) == anon.pairDigest(k) {
-				kept++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(kept) / float64(total)
-}
-
-// Reachable reports whether at least one delivered path exists for the
-// pair in the data plane.
-func (dp *DataPlane) Reachable(src, dst string) bool {
-	for _, p := range dp.Pairs[Pair{Src: src, Dst: dst}] {
-		if p.Status == Delivered {
-			return true
-		}
-	}
-	return false
-}
-
-// Delivered returns only the delivered paths for a pair.
-func (dp *DataPlane) Delivered(src, dst string) []Path {
-	var out []Path
-	for _, p := range dp.Pairs[Pair{Src: src, Dst: dst}] {
-		if p.Status == Delivered {
-			out = append(out, p)
-		}
-	}
-	return out
 }
