@@ -13,7 +13,13 @@ import (
 // ospfNet builds a 7-router OSPF network with varied costs and 4 hosts.
 func ospfNet(t *testing.T) *config.Network {
 	t.Helper()
-	b := netgen.NewBuilder(netgen.OSPF)
+	return igpNet(t, netgen.OSPF)
+}
+
+// igpNet is ospfNet's topology running the given IGP.
+func igpNet(t *testing.T, proto netgen.Proto) *config.Network {
+	t.Helper()
+	b := netgen.NewBuilder(proto)
 	for _, r := range []string{"r1", "r2", "r3", "r4", "r5", "r6", "r7"} {
 		b.Router(r)
 	}
@@ -340,7 +346,13 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestApplyPII(t *testing.T) {
-	cfg := ospfNet(t)
+	for _, proto := range []netgen.Proto{netgen.OSPF, netgen.RIP, netgen.EIGRP} {
+		testApplyPII(t, igpNet(t, proto))
+	}
+}
+
+func testApplyPII(t *testing.T, cfg *config.Network) {
+	t.Helper()
 	anon, names := ApplyPII(cfg, []byte("secret-key"))
 	if len(names) != len(cfg.Devices) {
 		t.Fatalf("name map size %d", len(names))

@@ -83,33 +83,25 @@ func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nh 
 // protocol for generated list names, keeping the per-protocol lists of a
 // shared interface distinct.
 func igpInFilters(d *config.Device, src sim.Source, create bool) (filters map[string]string, tag string) {
+	var k config.IGP
 	switch src {
 	case sim.SrcOSPF, sim.SrcIBGP:
-		if d.OSPF == nil {
-			return nil, ""
-		}
-		if d.OSPF.InFilters == nil && create {
-			d.OSPF.InFilters = make(map[string]string)
-		}
-		return d.OSPF.InFilters, "OSPF"
+		k = config.IGPOSPF
 	case sim.SrcEIGRP:
-		if d.EIGRP == nil {
-			return nil, ""
-		}
-		if d.EIGRP.InFilters == nil && create {
-			d.EIGRP.InFilters = make(map[string]string)
-		}
-		return d.EIGRP.InFilters, "EIGRP"
+		k = config.IGPEIGRP
 	case sim.SrcRIP:
-		if d.RIP == nil {
-			return nil, ""
-		}
-		if d.RIP.InFilters == nil && create {
-			d.RIP.InFilters = make(map[string]string)
-		}
-		return d.RIP.InFilters, "RIP"
+		k = config.IGPRIP
+	default:
+		return nil, ""
 	}
-	return nil, ""
+	proc := d.Process(k)
+	if proc == nil {
+		return nil, ""
+	}
+	if create {
+		proc.EnsureInFilters()
+	}
+	return proc.InFilters, k.String()
 }
 
 // addInterfaceFilter denies p on the inbound distribute-list of iface for

@@ -68,11 +68,11 @@ func addFakeRouters(out *config.Network, pool *netaddr.Pool, base *baseline, n i
 		d := &config.Device{Hostname: name, Kind: config.RouterKind}
 		switch {
 		case proto.ospf:
-			d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+			d.OSPF = &config.OSPF{ProcessID: 1, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 		case proto.eigrp:
-			d.EIGRP = &config.EIGRP{ASN: proto.eigrpASN, InFilters: map[string]string{}}
+			d.EIGRP = &config.EIGRP{ASN: proto.eigrpASN, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 		case proto.rip:
-			d.RIP = &config.RIP{InFilters: map[string]string{}}
+			d.RIP = &config.RIP{IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 		}
 		out.Add(d)
 

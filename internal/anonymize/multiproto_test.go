@@ -83,8 +83,24 @@ func multiProtoNet(t *testing.T) *config.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Device("r1").OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+	cfg.Device("r1").OSPF = &config.OSPF{ProcessID: 1, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 	return cfg
+}
+
+// withRIPChord returns a copy of multiProtoNet's cfg with a fake chord
+// r1—r3, RIP-enabled on both ends: r1 learns h3's prefix at metric 2 over
+// it, beating the real metric-3 path via r2.
+func withRIPChord(t *testing.T, cfg *config.Network) *config.Network {
+	t.Helper()
+	out := cfg.Clone()
+	pool := netaddr.NewPool(out.UsedPrefixes(), nil)
+	pfx, err := netbuild.AddP2PLink(out, pool, "r1", "r3", netbuild.LinkOpts{Injected: true, NoProtocol: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Device("r1").RIP.Networks = append(out.Device("r1").RIP.Networks, pfx)
+	out.Device("r3").RIP.Networks = append(out.Device("r3").RIP.Networks, pfx)
+	return out
 }
 
 // TestRouteEquivalenceMultiProtocol reproduces the Algorithm 1 stall: a
@@ -101,17 +117,7 @@ func TestRouteEquivalenceMultiProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fake chord r1—r3, RIP-enabled on both ends: r1 learns h3's prefix
-	// at metric 2 over it, beating the real metric-3 path via r2.
-	out := cfg.Clone()
-	pool := netaddr.NewPool(out.UsedPrefixes(), nil)
-	pfx, err := netbuild.AddP2PLink(out, pool, "r1", "r3", netbuild.LinkOpts{Injected: true, NoProtocol: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Device("r1").RIP.Networks = append(out.Device("r1").RIP.Networks, pfx)
-	out.Device("r3").RIP.Networks = append(out.Device("r3").RIP.Networks, pfx)
-
+	out := withRIPChord(t, cfg)
 	opts := DefaultOptions()
 	iters, filters, err := routeEquivalence(context.Background(), out, base, opts)
 	if err != nil {
@@ -135,5 +141,25 @@ func TestRouteEquivalenceMultiProtocol(t *testing.T) {
 	}
 	if diffs := sim.DiffPairs(base.digests(), snap.DataPlaneFor(base.hosts), base.hosts); len(diffs) != 0 {
 		t.Fatalf("data planes differ after convergence: %v", diffs)
+	}
+}
+
+// TestStrawman1MultiProtocol: strawman 1 must deny every host prefix on
+// every IGP process of a multi-protocol router, not only on the first
+// configured one. Attached to r1's OSPF process alone, the shared list
+// filters nothing RIP learns, and the fake chord's RIP route survives.
+func TestStrawman1MultiProtocol(t *testing.T) {
+	cfg := multiProtoNet(t)
+	base, err := newBaseline(cfg, sim.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := withRIPChord(t, cfg)
+	if _, _, err := strawman1(out, base, DefaultOptions()); err != nil {
+		t.Fatalf("strawman1: %v", err)
+	}
+	r1 := out.Device("r1")
+	if len(r1.OSPF.InFilters) == 0 || len(r1.RIP.InFilters) == 0 {
+		t.Fatalf("r1 process without the shared deny: ospf=%v rip=%v", r1.OSPF.InFilters, r1.RIP.InFilters)
 	}
 }

@@ -48,14 +48,11 @@ func ApplyPII(cfg *config.Network, key []byte) (*config.Network, map[string]stri
 				}
 			}
 		}
-		if d.OSPF != nil {
-			for k := range d.OSPF.Networks {
-				d.OSPF.Networks[k] = an.Prefix(d.OSPF.Networks[k])
-			}
-		}
-		if d.RIP != nil {
-			for k := range d.RIP.Networks {
-				d.RIP.Networks[k] = an.Prefix(d.RIP.Networks[k])
+		for _, k := range config.IGPs {
+			if proc := d.Process(k); proc != nil {
+				for j := range proc.Networks {
+					proc.Networks[j] = an.Prefix(proc.Networks[j])
+				}
 			}
 		}
 		if d.BGP != nil {

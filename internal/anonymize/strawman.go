@@ -44,8 +44,9 @@ func strawman1(out *config.Network, base *baseline, opts Options) (int, int, err
 	return 1, filters, nil
 }
 
-// denyAllOn attaches the shared list to the fake interface (IGP
-// distribute-list, or the BGP neighbor using that interface) and denies p.
+// denyAllOn attaches the shared list to the fake interface (the
+// distribute-list of every IGP process, or the BGP neighbor using that
+// interface) and denies p.
 func denyAllOn(cfg *config.Network, view *sim.Net, d *config.Device, i *config.Interface, p netip.Prefix, listName string) bool {
 	// BGP session on this interface?
 	if d.BGP != nil {
@@ -70,26 +71,24 @@ func denyAllOn(cfg *config.Network, view *sim.Net, d *config.Device, i *config.I
 			}
 		}
 	}
-	var filters map[string]string
-	switch {
-	case d.OSPF != nil:
-		filters = d.OSPF.InFilters
-	case d.EIGRP != nil:
-		filters = d.EIGRP.InFilters
-	case d.RIP != nil:
-		filters = d.RIP.InFilters
-	default:
-		return false
+	// Every IGP process: on a multi-protocol router a deny on one
+	// process filters nothing the others learn over the fake link.
+	added := false
+	for _, k := range config.IGPs {
+		proc := d.Process(k)
+		if proc == nil {
+			continue
+		}
+		filters := proc.EnsureInFilters()
+		if _, ok := filters[i.Name]; !ok {
+			filters[i.Name] = listName
+		}
+		if pl := d.EnsurePrefixList(filters[i.Name]); !pl.Denies(p) {
+			pl.Deny(p)
+			added = true
+		}
 	}
-	if _, ok := filters[i.Name]; !ok {
-		filters[i.Name] = listName
-	}
-	pl := d.EnsurePrefixList(filters[i.Name])
-	if pl.Denies(p) {
-		return false
-	}
-	pl.Deny(p)
-	return true
+	return added
 }
 
 // strawman2 is the second baseline of §4.3: per iteration, traceroute every

@@ -59,32 +59,16 @@ func UnconfiguredInterfaces(cfg *config.Network) ([]LinkSuspicion, error) {
 	return dedupe(out), nil
 }
 
-// interfaceRouted reports whether the interface participates in OSPF, RIP,
-// or carries a BGP session address.
+// interfaceRouted reports whether the interface participates in an IGP or
+// carries a BGP session address.
 func interfaceRouted(d *config.Device, iface string) bool {
 	i := d.Interface(iface)
 	if i == nil || !i.Addr.IsValid() {
 		return false
 	}
-	if d.OSPF != nil {
-		for _, nw := range d.OSPF.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
-		}
-	}
-	if d.RIP != nil {
-		for _, nw := range d.RIP.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
-		}
-	}
-	if d.EIGRP != nil {
-		for _, nw := range d.EIGRP.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
+	for _, k := range config.IGPs {
+		if proc := d.Process(k); proc != nil && proc.Enables(i) {
+			return true
 		}
 	}
 	if d.BGP != nil {

@@ -24,11 +24,13 @@ func sampleRouter() *Device {
 	)
 	d.OSPF = &OSPF{
 		ProcessID: 1,
-		Networks: []netip.Prefix{
-			netip.MustParsePrefix("10.0.0.0/31"),
-			netip.MustParsePrefix("10.1.0.0/24"),
+		IGPProcess: IGPProcess{
+			Networks: []netip.Prefix{
+				netip.MustParsePrefix("10.0.0.0/31"),
+				netip.MustParsePrefix("10.1.0.0/24"),
+			},
+			InFilters: map[string]string{"GigabitEthernet0/0": "RejPfxs"},
 		},
-		InFilters: map[string]string{"GigabitEthernet0/0": "RejPfxs"},
 	}
 	d.BGP = &BGP{
 		ASN:      65001,

@@ -286,7 +286,7 @@ func ParseJunosDevice(text string) (*Device, error) {
 		return out
 	}
 	if len(ospfIfaces) > 0 || len(ospfFilters) > 0 {
-		d.OSPF = &OSPF{ProcessID: 1, Networks: toNetworks(ospfIfaces), InFilters: ospfFilters}
+		d.OSPF = &OSPF{ProcessID: 1, IGPProcess: IGPProcess{Networks: toNetworks(ospfIfaces), InFilters: ospfFilters}}
 		for _, ii := range ospfIfaces {
 			if ii.metric > 0 {
 				if i := d.Interface(ii.name); i != nil {
@@ -296,10 +296,10 @@ func ParseJunosDevice(text string) (*Device, error) {
 		}
 	}
 	if len(ripIfaces) > 0 || len(ripFilters) > 0 {
-		d.RIP = &RIP{Networks: toNetworks(ripIfaces), InFilters: ripFilters}
+		d.RIP = &RIP{IGPProcess: IGPProcess{Networks: toNetworks(ripIfaces), InFilters: ripFilters}}
 	}
 	if len(eigrpIfaces) > 0 || len(eigrpFilters) > 0 {
-		d.EIGRP = &EIGRP{ASN: eigrpASN, Networks: toNetworks(eigrpIfaces), InFilters: eigrpFilters}
+		d.EIGRP = &EIGRP{ASN: eigrpASN, IGPProcess: IGPProcess{Networks: toNetworks(eigrpIfaces), InFilters: eigrpFilters}}
 	}
 	if bgpASN != 0 {
 		d.ensureBGP().ASN = bgpASN

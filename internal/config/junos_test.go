@@ -83,9 +83,11 @@ func TestJunosEIGRPAndDelay(t *testing.T) {
 		Delay: 55,
 	})
 	d.EIGRP = &EIGRP{
-		ASN:       100,
-		Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/31")},
-		InFilters: map[string]string{"ge-0/0/0": "F"},
+		ASN: 100,
+		IGPProcess: IGPProcess{
+			Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/31")},
+			InFilters: map[string]string{"ge-0/0/0": "F"},
+		},
 	}
 	d.EnsurePrefixList("F").Deny(netip.MustParsePrefix("10.5.0.0/24"))
 	text := d.RenderJunos()

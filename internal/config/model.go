@@ -81,33 +81,110 @@ func (i *Interface) Cost() int {
 	return DefaultOSPFCost
 }
 
+// IGP names an interior gateway protocol: one whose process enables
+// interfaces by network statement and filters learned routes with
+// per-interface inbound distribute-lists.
+type IGP uint8
+
+const (
+	IGPOSPF IGP = iota
+	IGPRIP
+	IGPEIGRP
+)
+
+// IGPs lists every IGP, in the order per-device scans walk them.
+var IGPs = [...]IGP{IGPOSPF, IGPRIP, IGPEIGRP}
+
+func (k IGP) String() string {
+	switch k {
+	case IGPOSPF:
+		return "OSPF"
+	case IGPRIP:
+		return "RIP"
+	case IGPEIGRP:
+		return "EIGRP"
+	}
+	return fmt.Sprintf("IGP(%d)", uint8(k))
+}
+
+// IGPProcess is what every IGP process shares: the network statements
+// that enable its interfaces and its inbound distribute-lists.
+type IGPProcess struct {
+	Networks []netip.Prefix
+	// InFilters maps an interface name to the prefix-list applied with
+	// `distribute-list prefix <name> in <interface>`. ConfMask's route
+	// filters attach here.
+	InFilters map[string]string
+}
+
+// Process returns the device's process for protocol k, or nil when the
+// device runs none. The result aliases the device's own process.
+func (d *Device) Process(k IGP) *IGPProcess {
+	switch k {
+	case IGPOSPF:
+		if d.OSPF != nil {
+			return &d.OSPF.IGPProcess
+		}
+	case IGPRIP:
+		if d.RIP != nil {
+			return &d.RIP.IGPProcess
+		}
+	case IGPEIGRP:
+		if d.EIGRP != nil {
+			return &d.EIGRP.IGPProcess
+		}
+	}
+	return nil
+}
+
+// Enables reports whether the process runs on the interface: a network
+// statement must cover the interface address (Cisco network+wildcard
+// matching).
+func (p *IGPProcess) Enables(i *Interface) bool {
+	if !i.Addr.IsValid() {
+		return false
+	}
+	for _, nw := range p.Networks {
+		if nw.Contains(i.Addr.Addr()) {
+			return true
+		}
+	}
+	return false
+}
+
+// EnsureInFilters returns the distribute-list map, allocating it first if
+// the process has none.
+func (p *IGPProcess) EnsureInFilters() map[string]string {
+	if p.InFilters == nil {
+		p.InFilters = make(map[string]string)
+	}
+	return p.InFilters
+}
+
+func (p IGPProcess) clone() IGPProcess {
+	return IGPProcess{
+		Networks:  append([]netip.Prefix(nil), p.Networks...),
+		InFilters: cloneStringMap(p.InFilters),
+	}
+}
+
 // OSPF is a `router ospf` process. Only area 0 is modelled.
 type OSPF struct {
 	ProcessID int
-	Networks  []netip.Prefix
-	// InFilters maps an interface name to the prefix-list applied with
-	// `distribute-list prefix <name> in <interface>`. ConfMask's route
-	// filters for OSPF networks attach here.
-	InFilters map[string]string
+	IGPProcess
 }
 
 // RIP is a `router rip` process (version 2).
 type RIP struct {
-	Networks []netip.Prefix
-	// InFilters maps an interface name to the prefix-list applied with
-	// `distribute-list prefix <name> in <interface>`.
-	InFilters map[string]string
+	IGPProcess
 }
 
 // EIGRP is a `router eigrp` process. The simulator uses a simplified
 // additive delay metric (the dominant term of EIGRP's composite metric on
 // uniform-bandwidth links).
 type EIGRP struct {
-	ASN      int
-	Networks []netip.Prefix
-	// InFilters maps an interface name to the prefix-list applied with
-	// `distribute-list prefix <name> in <interface>`.
-	InFilters map[string]string
+	ASN int
+	IGPProcess
 }
 
 // DefaultDelay is the interface delay used when no `delay` line is
@@ -234,24 +311,13 @@ func (d *Device) Clone() *Device {
 		c.Interfaces = append(c.Interfaces, &ci)
 	}
 	if d.OSPF != nil {
-		c.OSPF = &OSPF{
-			ProcessID: d.OSPF.ProcessID,
-			Networks:  append([]netip.Prefix(nil), d.OSPF.Networks...),
-			InFilters: cloneStringMap(d.OSPF.InFilters),
-		}
+		c.OSPF = &OSPF{ProcessID: d.OSPF.ProcessID, IGPProcess: d.OSPF.clone()}
 	}
 	if d.RIP != nil {
-		c.RIP = &RIP{
-			Networks:  append([]netip.Prefix(nil), d.RIP.Networks...),
-			InFilters: cloneStringMap(d.RIP.InFilters),
-		}
+		c.RIP = &RIP{IGPProcess: d.RIP.clone()}
 	}
 	if d.EIGRP != nil {
-		c.EIGRP = &EIGRP{
-			ASN:       d.EIGRP.ASN,
-			Networks:  append([]netip.Prefix(nil), d.EIGRP.Networks...),
-			InFilters: cloneStringMap(d.EIGRP.InFilters),
-		}
+		c.EIGRP = &EIGRP{ASN: d.EIGRP.ASN, IGPProcess: d.EIGRP.clone()}
 	}
 	if d.BGP != nil {
 		cb := &BGP{
@@ -377,19 +443,11 @@ func (n *Network) UsedPrefixes() []netip.Prefix {
 		for _, i := range d.Interfaces {
 			add(i.Addr)
 		}
-		if d.OSPF != nil {
-			for _, p := range d.OSPF.Networks {
-				add(p)
-			}
-		}
-		if d.RIP != nil {
-			for _, p := range d.RIP.Networks {
-				add(p)
-			}
-		}
-		if d.EIGRP != nil {
-			for _, p := range d.EIGRP.Networks {
-				add(p)
+		for _, k := range IGPs {
+			if proc := d.Process(k); proc != nil {
+				for _, p := range proc.Networks {
+					add(p)
+				}
 			}
 		}
 		if d.BGP != nil {

@@ -68,17 +68,17 @@ func ParseDevice(text string) (*Device, error) {
 				if len(f) >= 3 {
 					pid, _ = strconv.Atoi(f[2])
 				}
-				d.OSPF = &OSPF{ProcessID: pid, InFilters: map[string]string{}}
+				d.OSPF = &OSPF{ProcessID: pid, IGPProcess: IGPProcess{InFilters: map[string]string{}}}
 				cur = blkOSPF
 			case f[0] == "router" && len(f) >= 2 && f[1] == "rip":
-				d.RIP = &RIP{InFilters: map[string]string{}}
+				d.RIP = &RIP{IGPProcess: IGPProcess{InFilters: map[string]string{}}}
 				cur = blkRIP
 			case f[0] == "router" && len(f) >= 3 && f[1] == "eigrp":
 				asn, err := strconv.Atoi(f[2])
 				if err != nil {
 					return nil, fmt.Errorf("config: line %d: bad EIGRP AS %q", ln+1, f[2])
 				}
-				d.EIGRP = &EIGRP{ASN: asn, InFilters: map[string]string{}}
+				d.EIGRP = &EIGRP{ASN: asn, IGPProcess: IGPProcess{InFilters: map[string]string{}}}
 				cur = blkEIGRP
 			case f[0] == "router" && len(f) >= 3 && f[1] == "bgp":
 				asn, err := strconv.Atoi(f[2])

@@ -16,8 +16,10 @@ func semdiffDevice() *Device {
 		},
 		OSPF: &OSPF{
 			ProcessID: 1,
-			Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")},
-			InFilters: map[string]string{"Ethernet0": "pl-in"},
+			IGPProcess: IGPProcess{
+				Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")},
+				InFilters: map[string]string{"Ethernet0": "pl-in"},
+			},
 		},
 		BGP: &BGP{
 			ASN:      65001,

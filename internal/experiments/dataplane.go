@@ -122,37 +122,25 @@ func (r *Runner) DataPlaneBench() ([]DataPlaneBenchRow, error) {
 }
 
 // attachBenchDeny adds an inbound distribute-list denying pfx on the
-// device's first interface, whichever IGP it runs.
+// device's first interface, on the first IGP it runs.
 func attachBenchDeny(d *config.Device, pfx netip.Prefix) bool {
 	if d == nil || len(d.Interfaces) == 0 {
 		return false
 	}
 	iface := d.Interfaces[0].Name
-	var filters map[string]string
-	switch {
-	case d.OSPF != nil:
-		if d.OSPF.InFilters == nil {
-			d.OSPF.InFilters = make(map[string]string)
+	for _, k := range config.IGPs {
+		proc := d.Process(k)
+		if proc == nil {
+			continue
 		}
-		filters = d.OSPF.InFilters
-	case d.RIP != nil:
-		if d.RIP.InFilters == nil {
-			d.RIP.InFilters = make(map[string]string)
+		filters := proc.EnsureInFilters()
+		name, ok := filters[iface]
+		if !ok {
+			name = "DPBENCH-" + iface
+			filters[iface] = name
 		}
-		filters = d.RIP.InFilters
-	case d.EIGRP != nil:
-		if d.EIGRP.InFilters == nil {
-			d.EIGRP.InFilters = make(map[string]string)
-		}
-		filters = d.EIGRP.InFilters
-	default:
-		return false
+		d.EnsurePrefixList(name).Deny(pfx)
+		return true
 	}
-	name, ok := filters[iface]
-	if !ok {
-		name = "DPBENCH-" + iface
-		filters[iface] = name
-	}
-	d.EnsurePrefixList(name).Deny(pfx)
-	return true
+	return false
 }

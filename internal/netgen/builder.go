@@ -65,13 +65,13 @@ func (b *Builder) RouterAS(name string, asn int) *Builder {
 	d := &config.Device{Hostname: name, Kind: config.RouterKind, Extra: routerBoilerplate()}
 	switch b.proto {
 	case OSPF:
-		d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+		d.OSPF = &config.OSPF{ProcessID: 1, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 	case RIP:
-		d.RIP = &config.RIP{InFilters: map[string]string{}}
+		d.RIP = &config.RIP{IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 	case EIGRP:
-		d.EIGRP = &config.EIGRP{ASN: 100, InFilters: map[string]string{}}
+		d.EIGRP = &config.EIGRP{ASN: 100, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 	case BGPOSPF:
-		d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+		d.OSPF = &config.OSPF{ProcessID: 1, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 		if asn <= 0 {
 			b.err = fmt.Errorf("netgen: router %q in BGPOSPF network needs an AS number", name)
 			return b

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"confmask/internal/anonymize"
 	"confmask/internal/attack"
@@ -91,8 +90,7 @@ func Build(label string, orig, anon *config.Network, opts anonymize.Options, rep
 
 // BuildFromNetworks assembles an Audit when no pipeline report is at hand
 // (e.g. auditing a bundle produced earlier): the change inventory is
-// reconstructed by diffing the two networks. Timing and iteration counts
-// are unavailable in this mode and render as zero.
+// reconstructed by diffing the two networks.
 func BuildFromNetworks(label string, orig, anon *config.Network, opts anonymize.Options) (*Audit, error) {
 	so, err := sim.Build(orig)
 	if err != nil {
@@ -131,7 +129,6 @@ func BuildFromNetworks(label string, orig, anon *config.Network, opts anonymize.
 			rep.FakeRouters = append(rep.FakeRouters, r)
 		}
 	}
-	rep.EquivFilters = rep.AddedLines.Filter
 	return Build(label, orig, anon, opts, rep)
 }
 
@@ -170,11 +167,8 @@ func (a *Audit) Markdown() string {
 	if len(a.Report.FakeRouters) > 0 {
 		fmt.Fprintf(&b, "- fake routers: %d (%s)\n", len(a.Report.FakeRouters), strings.Join(head(a.Report.FakeRouters, 6), ", "))
 	}
-	fmt.Fprintf(&b, "- route filters: %d equivalence + %d anonymity\n", a.Report.EquivFilters, a.Report.AnonFilters)
 	fmt.Fprintf(&b, "- injected lines: %d interface, %d protocol, %d filter (U_C = %.3f over %d total lines)\n",
 		a.Report.AddedLines.Interface, a.Report.AddedLines.Protocol, a.Report.AddedLines.Filter, a.Report.UC, a.Lines.Total())
-	fmt.Fprintf(&b, "- pipeline time: %v (%d equivalence iterations)\n",
-		a.Report.Timing.Total().Round(time.Millisecond), a.Report.EquivIterations)
 
 	b.WriteString("\n## Utility: functional equivalence\n\n")
 	if a.Equivalent {

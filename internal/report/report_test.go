@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -120,6 +121,38 @@ func TestBuildFromNetworks(t *testing.T) {
 	}
 	if a2.Report.UC <= 0 || a2.Report.UC >= 1 {
 		t.Fatalf("reconstructed U_C = %v", a2.Report.UC)
+	}
+}
+
+// TestBuildFromNetworksMarkdown: a reconstructed audit prints only what
+// the diff establishes. It has no pipeline clock or iteration count, and
+// it cannot split the added filter lines into equivalence and anonymity
+// rules, so it prints their count once, as filter lines.
+func TestBuildFromNetworksMarkdown(t *testing.T) {
+	cfg, err := netgen.Backbone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := anonymize.DefaultOptions()
+	opts.KR = 4
+	opts.Seed = 5
+	anon, _, err := anonymize.Run(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := BuildFromNetworks("reconstructed", cfg, anon, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := a.Markdown()
+	for _, bad := range []string{"pipeline time", "equivalence iterations", "route filters"} {
+		if strings.Contains(md, bad) {
+			t.Errorf("reconstructed audit prints %q:\n%s", bad, md)
+		}
+	}
+	filterLines := fmt.Sprintf("%d filter (", a.Report.AddedLines.Filter)
+	if a.Report.AddedLines.Filter == 0 || strings.Count(md, filterLines) != 1 {
+		t.Errorf("want the filter-line count once as %q:\n%s", filterLines, md)
 	}
 }
 

@@ -392,7 +392,7 @@ func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string) []*Route {
 		d := n.Cfg.Device(r)
 		var nhs []NextHop
 		for _, nh := range igp.nextHopsToRouter(n, r, rt.peer) {
-			if n.filterDeniesOSPF(d, nh.Iface, p) {
+			if n.filterDenies(d, config.IGPOSPF, nh.Iface, p) {
 				continue
 			}
 			nhs = append(nhs, nh)

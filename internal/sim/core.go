@@ -3,6 +3,8 @@ package sim
 import (
 	"net/netip"
 	"sort"
+
+	"confmask/internal/config"
 )
 
 // simCore is the filter-independent part of a simulation: everything that
@@ -19,16 +21,11 @@ import (
 // neighbors, costs, protocol enablement) requires a fresh Build.
 type simCore struct {
 	ospf *ospfCore
-	// ospfLinks / ripLinks / eigrpLinks hold, per router, the incident
-	// links over which the protocol exchanges routes (both endpoint
-	// interfaces enabled), in linksOf order.
-	ospfLinks  map[string][]*Link
-	ripLinks   map[string][]*Link
-	eigrpLinks map[string][]*Link
-	// ripSpeakers / eigrpSpeakers list the routers running each
-	// distance-vector protocol, in Routers() order.
-	ripSpeakers   []string
-	eigrpSpeakers []string
+	// links[k][r] holds router r's incident links over which IGP k
+	// exchanges routes (linkEnabled), in linksOf order.
+	links [len(config.IGPs)]map[string][]*Link
+	// speakers[k] lists the routers running IGP k, in Routers() order.
+	speakers [len(config.IGPs)][]string
 	// sessions is the discovered BGP session graph.
 	sessions []bgpSession
 }
@@ -66,34 +63,49 @@ func (n *Net) coreFor(workers int) *simCore {
 
 // buildCore derives the filter-independent simulation state.
 func (n *Net) buildCore(workers int) *simCore {
-	c := &simCore{
-		ospfLinks:  make(map[string][]*Link),
-		ripLinks:   make(map[string][]*Link),
-		eigrpLinks: make(map[string][]*Link),
+	c := &simCore{}
+	for _, k := range config.IGPs {
+		c.links[k] = make(map[string][]*Link)
 	}
 	for _, r := range n.Cfg.Routers() {
 		d := n.Cfg.Device(r)
-		if d.RIP != nil {
-			c.ripSpeakers = append(c.ripSpeakers, r)
-		}
-		if d.EIGRP != nil {
-			c.eigrpSpeakers = append(c.eigrpSpeakers, r)
-		}
-		for _, l := range n.linksOf[r] {
-			if n.ospfLinkEnabled(l) {
-				c.ospfLinks[r] = append(c.ospfLinks[r], l)
+		for _, k := range config.IGPs {
+			if d.Process(k) == nil {
+				continue
 			}
-			if n.ripLinkEnabled(l) {
-				c.ripLinks[r] = append(c.ripLinks[r], l)
-			}
-			if n.eigrpLinkEnabled(l) {
-				c.eigrpLinks[r] = append(c.eigrpLinks[r], l)
+			c.speakers[k] = append(c.speakers[k], r)
+			for _, l := range n.linksOf[r] {
+				if n.linkEnabled(l, k) {
+					c.links[k][r] = append(c.links[k][r], l)
+				}
 			}
 		}
 	}
 	c.sessions = n.discoverSessions()
-	c.ospf = n.buildOSPFCore()
+	c.ospf = n.buildOSPFCore(c.speakers[config.IGPOSPF])
 	return c
+}
+
+// linkEnabled reports whether a router-router link exchanges routes of
+// IGP k: both endpoint interfaces must be enabled. EIGRP processes must
+// also share an AS number (EIGRP only peers within an AS); RIP and OSPF
+// ignore process numbers.
+func (n *Net) linkEnabled(l *Link, k config.IGP) bool {
+	da := n.Cfg.Device(l.A.Device)
+	db := n.Cfg.Device(l.B.Device)
+	if da.Kind != config.RouterKind || db.Kind != config.RouterKind {
+		return false
+	}
+	pa, pb := da.Process(k), db.Process(k)
+	if pa == nil || pb == nil {
+		return false
+	}
+	if k == config.IGPEIGRP && da.EIGRP.ASN != db.EIGRP.ASN {
+		return false
+	}
+	ia := da.Interface(l.A.Iface)
+	ib := db.Interface(l.B.Iface)
+	return ia != nil && ib != nil && pa.Enables(ia) && pb.Enables(ib)
 }
 
 // adv is one stub-prefix advertisement into OSPF: the advertising router
@@ -107,18 +119,13 @@ type adv struct {
 // the CSR cost graph, the on-demand all-pairs DistMatrix, and the
 // per-prefix advertisements. No distances are computed here — rows
 // materialize lazily as the route computation touches them.
-func (n *Net) buildOSPFCore() *ospfCore {
-	c := &ospfCore{advs: make(map[netip.Prefix][]adv)}
-	for _, r := range n.Cfg.Routers() {
-		if n.Cfg.Device(r).OSPF != nil {
-			c.speakers = append(c.speakers, r)
-		}
-	}
+func (n *Net) buildOSPFCore(speakers []string) *ospfCore {
+	c := &ospfCore{speakers: speakers, advs: make(map[netip.Prefix][]adv)}
 	if len(c.speakers) == 0 {
 		return c
 	}
 
-	// Every node of the cost graph is a speaker (ospfLinkEnabled requires
+	// Every node of the cost graph is a speaker (linkEnabled requires
 	// OSPF on both endpoints), so interning the speakers covers the graph
 	// and isolated speakers alike.
 	c.t = internNames(c.speakers)
@@ -126,7 +133,7 @@ func (n *Net) buildOSPFCore() *ospfCore {
 	// Directed cost graph over enabled router-router links.
 	var edges []csrEdge
 	for _, l := range n.Links {
-		if !n.ospfLinkEnabled(l) {
+		if !n.linkEnabled(l, config.IGPOSPF) {
 			continue
 		}
 		ia := n.Cfg.Device(l.A.Device).Interface(l.A.Iface)
@@ -145,7 +152,7 @@ func (n *Net) buildOSPFCore() *ospfCore {
 		d := n.Cfg.Device(r)
 		ri, _ := c.t.id(r)
 		for _, i := range d.Interfaces {
-			if ospfEnabled(d, i) {
+			if d.OSPF.Enables(i) {
 				p := i.Addr.Masked()
 				c.advs[p] = append(c.advs[p], adv{router: ri, cost: clampCost32(i.Cost())})
 			}

@@ -266,35 +266,23 @@ func TestDataPlaneEngineDeepPaths(t *testing.T) {
 }
 
 // attachIGPDeny adds (or extends) an inbound distribute-list denying pfx
-// on one interface of the device, whichever IGP the device runs.
+// on one interface of the device, on the first IGP the device runs.
 func attachIGPDeny(d *config.Device, iface string, pfx netip.Prefix) bool {
-	var filters map[string]string
-	switch {
-	case d.OSPF != nil:
-		if d.OSPF.InFilters == nil {
-			d.OSPF.InFilters = make(map[string]string)
+	for _, k := range config.IGPs {
+		proc := d.Process(k)
+		if proc == nil {
+			continue
 		}
-		filters = d.OSPF.InFilters
-	case d.RIP != nil:
-		if d.RIP.InFilters == nil {
-			d.RIP.InFilters = make(map[string]string)
+		filters := proc.EnsureInFilters()
+		name, ok := filters[iface]
+		if !ok {
+			name = "TST-" + iface
+			filters[iface] = name
 		}
-		filters = d.RIP.InFilters
-	case d.EIGRP != nil:
-		if d.EIGRP.InFilters == nil {
-			d.EIGRP.InFilters = make(map[string]string)
-		}
-		filters = d.EIGRP.InFilters
-	default:
-		return false
+		d.EnsurePrefixList(name).Deny(pfx)
+		return true
 	}
-	name, ok := filters[iface]
-	if !ok {
-		name = "TST-" + iface
-		filters[iface] = name
-	}
-	d.EnsurePrefixList(name).Deny(pfx)
-	return true
+	return false
 }
 
 // cleanColumns is the previous plane's columns minus every destination

@@ -37,8 +37,8 @@ func SimulateNet(n *Net) *Snapshot {
 func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 	workers := opts.workers()
 	igp := n.runOSPF(workers)
-	rip := n.runRIP(workers)
-	eigrp := n.runEIGRP(workers)
+	rip := n.runDV(workers, ripProto)
+	eigrp := n.runDV(workers, eigrpProto)
 	bgp := n.runBGP(igp, workers)
 
 	snap := &Snapshot{Net: n, FIBs: make(map[string]FIB, len(n.Cfg.Devices)), OSPFDist: igp.dist, workers: workers}

@@ -14,8 +14,8 @@ import (
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route
-// for a specific prefix (runOSPF/runRIP/runEIGRP consult filterDenies*
-// per candidate prefix; bgpFIBRoutes filters each advertised prefix, and
+// for a specific prefix (runOSPF and runDV consult filterDenies per
+// candidate prefix; bgpFIBRoutes filters each advertised prefix, and
 // its iBGP next-hop resolution uses the filter-independent SPF state).
 // A deny-decision change for prefix set P therefore only changes FIB
 // entries whose prefix is in P, so a trace toward destination d can only
@@ -97,19 +97,11 @@ func (n *Net) captureFilterState() *filterState {
 	}
 	for _, name := range n.Cfg.Names() {
 		d := n.Cfg.Device(name)
-		if d.OSPF != nil {
-			for iface, list := range d.OSPF.InFilters {
-				add(name, "ospf", iface, list)
-			}
-		}
-		if d.RIP != nil {
-			for iface, list := range d.RIP.InFilters {
-				add(name, "rip", iface, list)
-			}
-		}
-		if d.EIGRP != nil {
-			for iface, list := range d.EIGRP.InFilters {
-				add(name, "eigrp", iface, list)
+		for _, k := range config.IGPs {
+			if proc := d.Process(k); proc != nil {
+				for iface, list := range proc.InFilters {
+					add(name, k.String(), iface, list)
+				}
 			}
 		}
 		if d.BGP != nil {

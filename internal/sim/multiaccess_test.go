@@ -15,7 +15,7 @@ func TestMultiAccessSegment(t *testing.T) {
 	lan := netip.MustParsePrefix("10.50.0.0/24")
 	for i, name := range []string{"ra", "rb", "rc"} {
 		d := &config.Device{Hostname: name, Kind: config.RouterKind}
-		d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+		d.OSPF = &config.OSPF{ProcessID: 1, IGPProcess: config.IGPProcess{InFilters: map[string]string{}}}
 		d.Interfaces = append(d.Interfaces, &config.Interface{
 			Name: "Ethernet0/0",
 			Addr: netip.PrefixFrom(lan.Addr().Next(), 24),

@@ -113,6 +113,20 @@ type listEval struct {
 	rules  []config.PrefixRule
 }
 
+// filterDenies reports whether the inbound distribute-list of the device's
+// IGP-k process on iface denies prefix p.
+func (n *Net) filterDenies(d *config.Device, k config.IGP, iface string, p netip.Prefix) bool {
+	proc := d.Process(k)
+	if proc == nil {
+		return false
+	}
+	name, ok := proc.InFilters[iface]
+	if !ok {
+		return false
+	}
+	return n.denies(d, name, p)
+}
+
 // denies reports whether the named prefix list on the device denies p.
 // Read-only after Build/InvalidateFilters, so safe from concurrent route
 // workers.

@@ -7,34 +7,6 @@ import (
 	"confmask/internal/config"
 )
 
-// ospfEnabled reports whether an interface participates in the device's
-// OSPF process: a network statement must cover the interface address
-// (Cisco network+wildcard matching).
-func ospfEnabled(d *config.Device, i *config.Interface) bool {
-	if d.OSPF == nil || !i.Addr.IsValid() {
-		return false
-	}
-	for _, nw := range d.OSPF.Networks {
-		if nw.Contains(i.Addr.Addr()) {
-			return true
-		}
-	}
-	return false
-}
-
-// ospfLinkEnabled reports whether a router-router link runs OSPF: both
-// endpoint interfaces must be enabled.
-func (n *Net) ospfLinkEnabled(l *Link) bool {
-	da := n.Cfg.Device(l.A.Device)
-	db := n.Cfg.Device(l.B.Device)
-	if da.Kind != config.RouterKind || db.Kind != config.RouterKind {
-		return false
-	}
-	ia := da.Interface(l.A.Iface)
-	ib := db.Interface(l.B.Iface)
-	return ia != nil && ib != nil && ospfEnabled(da, ia) && ospfEnabled(db, ib)
-}
-
 // ospfState is the computed link-state view shared by FIB construction and
 // BGP next-hop resolution.
 type ospfState struct {
@@ -104,8 +76,8 @@ func (n *Net) runOSPF(workers int) *ospfState {
 	// Filter-independent per-speaker state, resolved once per run instead
 	// of once per (prefix, link): the device, its connected prefixes, and
 	// its candidate links with interned neighbor ids and local costs, in
-	// core.ospfLinks order (the order the candidate scan has always
-	// branched in).
+	// core.links[config.IGPOSPF] order (the order the candidate scan has
+	// always branched in).
 	type linkCand struct {
 		nb     int32 // neighbor speaker id
 		nbName string
@@ -127,8 +99,8 @@ func (n *Net) runOSPF(workers int) *ospfState {
 			}
 		}
 		connected[si] = conn
-		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
-		for _, l := range core.ospfLinks[r] {
+		cs := make([]linkCand, 0, len(core.links[config.IGPOSPF][r]))
+		for _, l := range core.links[config.IGPOSPF][r] {
 			local, _ := l.Local(r)
 			other, _ := l.Other(r)
 			nb, _ := oc.t.id(other.Device)
@@ -179,7 +151,7 @@ func (n *Net) runOSPF(workers int) *ospfState {
 					continue
 				}
 				cand := satAdd32(lc.cost, dn)
-				if n.filterDeniesOSPF(d, lc.iface, p) {
+				if n.filterDenies(d, config.IGPOSPF, lc.iface, p) {
 					continue
 				}
 				switch {
@@ -224,19 +196,6 @@ func (n *Net) runOSPF(workers int) *ospfState {
 		st.routes[r] = tables[i]
 	}
 	return st
-}
-
-// filterDeniesOSPF reports whether the device's OSPF inbound
-// distribute-list on iface denies prefix p.
-func (n *Net) filterDeniesOSPF(d *config.Device, iface string, p netip.Prefix) bool {
-	if d.OSPF == nil {
-		return false
-	}
-	name, ok := d.OSPF.InFilters[iface]
-	if !ok {
-		return false
-	}
-	return n.denies(d, name, p)
 }
 
 // nextHopsToRouter returns the OSPF first hops from router r toward router

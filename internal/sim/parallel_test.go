@@ -149,7 +149,7 @@ func TestInvalidateFiltersMatchesRebuild(t *testing.T) {
 		SimulateNet(view) // warm the cached core
 
 		// Deny one advertised prefix at one router's first interface via
-		// each configured IGP — the same mutation Algorithm 1 performs.
+		// its first configured IGP — the same mutation Algorithm 1 performs.
 		mutated := false
 		for _, r := range cfg.Routers() {
 			d := cfg.Device(r)
@@ -163,27 +163,16 @@ func TestInvalidateFiltersMatchesRebuild(t *testing.T) {
 			if iface == "" {
 				continue
 			}
-			var filters map[string]string
-			switch {
-			case d.OSPF != nil:
-				if d.OSPF.InFilters == nil {
-					d.OSPF.InFilters = map[string]string{}
+			var proc *config.IGPProcess
+			for _, k := range config.IGPs {
+				if proc = d.Process(k); proc != nil {
+					break
 				}
-				filters = d.OSPF.InFilters
-			case d.RIP != nil:
-				if d.RIP.InFilters == nil {
-					d.RIP.InFilters = map[string]string{}
-				}
-				filters = d.RIP.InFilters
-			case d.EIGRP != nil:
-				if d.EIGRP.InFilters == nil {
-					d.EIGRP.InFilters = map[string]string{}
-				}
-				filters = d.EIGRP.InFilters
-			default:
+			}
+			if proc == nil {
 				continue
 			}
-			filters[iface] = "TEST-DENY"
+			proc.EnsureInFilters()[iface] = "TEST-DENY"
 			for _, h := range cfg.Hosts() {
 				hd := cfg.Device(h)
 				for _, i := range hd.Interfaces {
