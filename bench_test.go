@@ -16,6 +16,7 @@ package confmask_test
 
 import (
 	"math/rand"
+	"net/netip"
 	"testing"
 
 	"confmask/internal/anonymize"
@@ -234,6 +235,11 @@ func BenchmarkSimulateParallelism(b *testing.B) {
 // BenchmarkSimulateParallelism/seq, which pays the full Build+SPF cost
 // every round — the ratio is the per-iteration saving of the incremental
 // engine.
+//
+// The <net> variant changes no filter, so OSPF reuses every route column
+// (pure reuse). The <net>/toggle-deny variant adds or removes one OSPF
+// deny per round, as an Algorithm 1 round does, so the round recomputes
+// the one dirty prefix plus the protocols that are always recomputed.
 func BenchmarkSimulateIncremental(b *testing.B) {
 	for _, net := range parNetworks(b) {
 		b.Run(net.name, func(b *testing.B) {
@@ -246,7 +252,43 @@ func BenchmarkSimulateIncremental(b *testing.B) {
 				sim.SimulateNet(view)
 			}
 		})
+		b.Run(net.name+"/toggle-deny", func(b *testing.B) {
+			cfg := net.cfg.Clone()
+			view, err := sim.Build(cfg)
+			benchErr(b, err)
+			pl, pfx := toggleTarget(b, cfg, sim.SimulateNet(view))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					pl.Deny(pfx)
+				} else {
+					pl.RemoveDeny(pfx)
+				}
+				view.InvalidateFilters()
+				sim.SimulateNet(view)
+			}
+		})
 	}
+}
+
+// toggleTarget attaches an empty prefix list to the first next hop of
+// the first OSPF route toward a host LAN and returns it with that LAN:
+// denying the LAN in the list changes that route.
+func toggleTarget(b *testing.B, cfg *config.Network, snap *sim.Snapshot) (*config.PrefixList, netip.Prefix) {
+	for _, r := range cfg.Routers() {
+		for _, h := range cfg.Hosts() {
+			pfx := snap.Net.HostPrefix[h]
+			rt := snap.FIB(r)[pfx]
+			if rt == nil || rt.Source != sim.SrcOSPF {
+				continue
+			}
+			d := cfg.Device(r)
+			d.OSPF.EnsureInFilters()[rt.NextHops[0].Iface] = "BENCH-TOGGLE"
+			return d.EnsurePrefixList("BENCH-TOGGLE"), pfx
+		}
+	}
+	b.Fatal("no OSPF route toward a host")
+	return nil, netip.Prefix{}
 }
 
 // BenchmarkAnonymizeParallelism records the end-to-end pipeline wall

@@ -76,14 +76,19 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	snap := sim.SimulateNetOpts(view, opts.simOpts())
 
 	// Noise pass: per FIB entry for a fake destination, per next hop, flip
-	// a p-coin and deny.
+	// a p-coin and deny. Records are bucketed by (router, prefix), the
+	// key the repair pass removes by, and carry a live bit.
 	type rec struct {
-		router string
-		nh     sim.NextHop
-		pfx    netip.Prefix
-		src    sim.Source
+		nh   sim.NextHop
+		src  sim.Source
+		live bool
 	}
-	var recs []rec
+	type recKey struct {
+		router string
+		pfx    netip.Prefix
+	}
+	buckets := make(map[recKey][]rec)
+	live := 0
 	for _, r := range out.Routers() {
 		fib := snap.FIB(r)
 		if fib == nil {
@@ -99,7 +104,9 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 					continue
 				}
 				if addFilter(out, snap.Net, r, nh, rt.Prefix, rt.Source) {
-					recs = append(recs, rec{router: r, nh: nh, pfx: rt.Prefix, src: rt.Source})
+					k := recKey{router: r, pfx: rt.Prefix}
+					buckets[k] = append(buckets[k], rec{nh: nh, src: rt.Source, live: true})
+					live++
 				}
 			}
 		}
@@ -127,11 +134,15 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	// within the round) vectors — exactly the order and the data the
 	// pre-partition loop used, since its own checks also read the
 	// unchanged round snapshot. Output is therefore byte-identical at any
-	// worker count and whether or not the graph decomposes.
+	// worker count and whether or not the graph decomposes. A broken
+	// (fake host, router) pair can only remove records keyed by that
+	// router and the fake host's prefix, so phase 2 visits just that
+	// bucket, in record order: removals keep the global (fake host,
+	// router, record) order and cost O(records in the bucket).
 	groups, _ := anonymityGroups(view, fakeHosts, gw, realOf, opts.KR)
 	workers := opts.simOpts().Workers()
 	broken := make(map[string]bool)
-	for round := 0; round <= len(recs); round++ {
+	for round := 0; round <= live; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
@@ -182,27 +193,26 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 				}
 				brokenAny = true
 				broken[fh] = true
-				kept := recs[:0]
-				for _, rc := range recs {
-					if rc.router == r && rc.pfx == fakePrefix[fh] {
-						if removeFilterDeny(out, snap.Net, rc.router, rc.nh, rc.pfx, rc.src) {
-							removedAny = true
-							continue
-						}
+				pfx := fakePrefix[fh]
+				bucket := buckets[recKey{router: r, pfx: pfx}]
+				for i := range bucket {
+					rc := &bucket[i]
+					if rc.live && removeFilterDeny(out, snap.Net, r, rc.nh, pfx, rc.src) {
+						rc.live = false
+						live--
+						removedAny = true
 					}
-					kept = append(kept, rc)
 				}
-				recs = kept
 			}
 		}
 		if !brokenAny {
-			return fakeHosts, len(recs), nil
+			return fakeHosts, live, nil
 		}
 		if !removedAny {
 			return nil, 0, fmt.Errorf("route anonymity: unreachable fake host with no local filter to remove")
 		}
 	}
-	return fakeHosts, len(recs), nil
+	return fakeHosts, live, nil
 }
 
 // anonymityGroups shards the fake hosts for the repair loop's phase-1

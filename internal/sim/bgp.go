@@ -313,12 +313,7 @@ func (n *Net) routerReaches(igp *ospfState, r string, p netip.Prefix) bool {
 			return true
 		}
 	}
-	if t, ok := igp.routes[r]; ok {
-		if _, ok := t[p]; ok {
-			return true
-		}
-	}
-	return false
+	return igp.route(r, p) != nil
 }
 
 func containsAS(path []int, as int) bool {

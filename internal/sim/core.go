@@ -49,6 +49,10 @@ type ospfCore struct {
 	dist *DistMatrix
 	// prefixes is every prefix advertised into OSPF, sorted.
 	prefixes []netip.Prefix
+	// speakerIdx and prefixIdx invert speakers and prefixes: they
+	// address the route columns of an ospfState.
+	speakerIdx map[string]int32
+	prefixIdx  map[netip.Prefix]int32
 	// advs[p] lists the stub-prefix advertisements for p.
 	advs map[netip.Prefix][]adv
 }
@@ -159,6 +163,14 @@ func (n *Net) buildOSPFCore(speakers []string) *ospfCore {
 		}
 	}
 	c.prefixes = sortedPrefixes(c.advs)
+	c.speakerIdx = make(map[string]int32, len(c.speakers))
+	for si, r := range c.speakers {
+		c.speakerIdx[r] = int32(si)
+	}
+	c.prefixIdx = make(map[netip.Prefix]int32, len(c.prefixes))
+	for pi, p := range c.prefixes {
+		c.prefixIdx[p] = int32(pi)
+	}
 	return c
 }
 

@@ -20,7 +20,13 @@ func SimulateOpts(cfg *config.Network, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SimulateNetOpts(n, opts), nil
+	snap := SimulateNetOpts(n, opts)
+	// The Net is private to this call, so no round reuses its OSPF
+	// columns; dropping them keeps long-lived snapshots (query engines,
+	// verification) at the size of the routes they hold. Re-simulating
+	// snap.Net stays correct and recomputes every column.
+	n.publishOSPFColumns(nil)
+	return snap, nil
 }
 
 // SimulateNet computes FIBs over an already-built network view with
@@ -58,7 +64,16 @@ func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 // independently.
 func (n *Net) deviceFIB(name string, igp *ospfState, rip, eigrp map[string]map[netip.Prefix]*Route, bgp *bgpState) FIB {
 	d := n.Cfg.Device(name)
-	fib := make(FIB, len(igp.routes[name])+len(rip[name])+len(eigrp[name])+len(d.Interfaces))
+	si, ospfSpeaker := igp.speakerIdx[name]
+	size := len(rip[name]) + len(eigrp[name]) + len(d.Interfaces)
+	if ospfSpeaker {
+		for _, col := range igp.cols {
+			if col[si] != nil {
+				size++
+			}
+		}
+	}
+	fib := make(FIB, size)
 
 	install := func(r *Route) {
 		if len(r.NextHops) == 0 {
@@ -115,8 +130,12 @@ func (n *Net) deviceFIB(name string, igp *ospfState, rip, eigrp map[string]map[n
 		for _, r := range eigrp[name] {
 			install(r)
 		}
-		for _, r := range igp.routes[name] {
-			install(r)
+		if ospfSpeaker {
+			for _, col := range igp.cols {
+				if r := col[si]; r != nil {
+					install(r)
+				}
+			}
 		}
 		for _, r := range rip[name] {
 			install(r)

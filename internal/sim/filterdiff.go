@@ -63,6 +63,21 @@ func (d *FilterDiff) Prefixes() []netip.Prefix {
 
 func (d *FilterDiff) markAll() { d.all = true }
 
+// union returns a new diff covering both d and o.
+func (d *FilterDiff) union(o *FilterDiff) *FilterDiff {
+	if d.All() || o.All() {
+		return &FilterDiff{all: true}
+	}
+	u := &FilterDiff{}
+	for p := range d.prefixes {
+		u.mark(p)
+	}
+	for p := range o.prefixes {
+		u.mark(p)
+	}
+	return u
+}
+
 func (d *FilterDiff) mark(p netip.Prefix) {
 	if d.all {
 		return

@@ -110,9 +110,9 @@ func TestSortNextHopsProperties(t *testing.T) {
 
 func TestBGPBetterDecisionOrder(t *testing.T) {
 	n := &Net{Cfg: config.NewNetwork()}
-	igp := &ospfState{dist: testMatrix([]string{"r", "near", "far"}, [][3]any{
+	igp := &ospfState{ospfCore: &ospfCore{dist: testMatrix([]string{"r", "near", "far"}, [][3]any{
 		{"r", "near", 1}, {"r", "far", 9},
-	})}
+	})}}
 	short := bgpRoute{asPath: []int{1}}
 	long := bgpRoute{asPath: []int{1, 2}}
 	if !bgpBetter(n, igp, "r", short, long) || bgpBetter(n, igp, "r", long, short) {

@@ -95,6 +95,31 @@ type Net struct {
 	// InvalidateFilters. See simCore.
 	coreOnce sync.Once
 	core     *simCore
+
+	// ospfMu guards the OSPF column cache: the route columns of the last
+	// runOSPF (ospfPrev, nil before the first) and the union of every
+	// FilterDiff reported since (ospfDirty). The next run recomputes only
+	// the prefixes ospfDirty affects. Concurrent SimulateNet calls on one
+	// Net share the cache.
+	ospfMu    sync.Mutex
+	ospfPrev  [][]*Route
+	ospfDirty *FilterDiff
+}
+
+// ospfColumns returns the previous run's OSPF route columns (nil when
+// there is none) and the diff covering every filter change since.
+func (n *Net) ospfColumns() ([][]*Route, *FilterDiff) {
+	n.ospfMu.Lock()
+	defer n.ospfMu.Unlock()
+	return n.ospfPrev, n.ospfDirty
+}
+
+// publishOSPFColumns records the columns of a run over the current
+// filter view; nothing is pending against them.
+func (n *Net) publishOSPFColumns(cols [][]*Route) {
+	n.ospfMu.Lock()
+	defer n.ospfMu.Unlock()
+	n.ospfPrev, n.ospfDirty = cols, &FilterDiff{}
 }
 
 // listEval is the precomputed evaluation of one (device, prefix-list)
@@ -204,15 +229,23 @@ func compileList(pl *config.PrefixList) *listEval {
 // Snapshot.DataPlaneForSeeded to re-trace only affected destinations.
 // Ignoring the result is always safe.
 //
+// The diff also joins the Net's pending OSPF dirty set, so the next
+// SimulateNet recomputes OSPF routes only for affected prefixes, however
+// many invalidations came in between.
+//
 // Not safe concurrently with a running SimulateNet on the same Net.
 func (n *Net) InvalidateFilters() *FilterDiff {
 	old := n.filterState
 	n.buildDenyCache()
 	n.filterState = n.captureFilterState()
-	if old == nil {
-		return &FilterDiff{all: true}
+	diff := &FilterDiff{all: true}
+	if old != nil {
+		diff = diffFilterStates(old, n.filterState)
 	}
-	return diffFilterStates(old, n.filterState)
+	n.ospfMu.Lock()
+	n.ospfDirty = n.ospfDirty.union(diff)
+	n.ospfMu.Unlock()
+	return diff
 }
 
 // Build derives the simulation view from configurations. It returns an

@@ -8,16 +8,27 @@ import (
 )
 
 // ospfState is the computed link-state view shared by FIB construction and
-// BGP next-hop resolution.
+// BGP next-hop resolution: the filter-independent core plus one run's
+// per-prefix route columns.
 type ospfState struct {
-	// dist is the all-pairs SPF view (on-demand destination rows).
-	dist *DistMatrix
-	// t interns the speakers; fwd indexes nodes by its IDs.
-	t *interner
-	// fwd is the directed cost graph over OSPF adjacencies.
-	fwd *csrGraph
-	// routes[r][p] is the OSPF route of router r to prefix p.
-	routes map[string]map[netip.Prefix]*Route
+	*ospfCore
+	// cols[pi][si] is the OSPF route of speakers[si] to prefixes[pi], nil
+	// when it has none. Columns a filter change cannot affect are shared
+	// with the Net's previous run, so published Routes are immutable.
+	cols [][]*Route
+}
+
+// route returns router r's OSPF route to p, or nil.
+func (st *ospfState) route(r string, p netip.Prefix) *Route {
+	si, ok := st.speakerIdx[r]
+	if !ok {
+		return nil
+	}
+	pi, ok := st.prefixIdx[p]
+	if !ok {
+		return nil
+	}
+	return st.cols[pi][si]
 }
 
 // ospfRowPool recycles the per-prefix distance rows runOSPF streams: one
@@ -42,8 +53,9 @@ func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
 
 // runOSPF computes OSPF routes for every OSPF-speaking router. The
 // link-state view (interned cost graph, SPF distance rows) comes from the
-// Net's cached core; only the filter-dependent route tables are
-// recomputed.
+// Net's cached core; only the filter-dependent route columns are
+// recomputed, and only for the prefixes whose deny decisions changed
+// since the Net's previous run (see ospfColumns).
 //
 // The computation is destination-sharded: for each advertised prefix, a
 // pooled dense []int32 row of per-router distances to the prefix is
@@ -51,9 +63,8 @@ func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
 // distance-to-advertiser row plus the advertising cost — exactly the old
 // distP result, computed per shard and released when the shard finishes),
 // and every speaker's candidate selection reads that row by interned
-// neighbor id. A final router-sharded pass gathers each router's column
-// into its route table. Both passes write index-addressed slots, so the
-// output is identical at any worker count.
+// neighbor id into the prefix's column. Each shard writes its own
+// index-addressed column, so the output is identical at any worker count.
 //
 // Filters (distribute-list in on an interface) remove the corresponding
 // next-hop candidates at RIB-installation time on the filtering router
@@ -63,15 +74,11 @@ func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
 func (n *Net) runOSPF(workers int) *ospfState {
 	core := n.coreFor(workers)
 	oc := core.ospf
-	st := &ospfState{
-		dist:   oc.dist,
-		t:      oc.t,
-		fwd:    oc.fwd,
-		routes: make(map[string]map[netip.Prefix]*Route, len(oc.speakers)),
-	}
+	st := &ospfState{ospfCore: oc}
 	if len(oc.speakers) == 0 {
 		return st
 	}
+	prev, dirty := n.ospfColumns()
 
 	// Filter-independent per-speaker state, resolved once per run instead
 	// of once per (prefix, link): the device, its connected prefixes, and
@@ -112,9 +119,13 @@ func (n *Net) runOSPF(workers int) *ospfState {
 
 	// Destination-sharded candidate selection.
 	P := len(oc.prefixes)
-	routesByPrefix := make([][]*Route, P)
+	cols := make([][]*Route, P)
 	forEachIndex(workers, P, func(pi int) {
 		p := oc.prefixes[pi]
+		if prev != nil && !dirty.Affects(p) {
+			cols[pi] = prev[pi]
+			return
+		}
 		dp := getOSPFRow(oc.t.size())
 		for _, a := range oc.advs[p] {
 			arow := oc.dist.rowTo(a.router)
@@ -178,23 +189,11 @@ func (n *Net) runOSPF(workers int) *ospfState {
 			}
 		}
 		putOSPFRow(dp)
-		routesByPrefix[pi] = out
+		cols[pi] = out
 	})
 
-	// Router-sharded gather: each router's column becomes its table.
-	tables := make([]map[netip.Prefix]*Route, S)
-	forEachIndex(workers, S, func(si int) {
-		table := make(map[netip.Prefix]*Route)
-		for pi, p := range oc.prefixes {
-			if rt := routesByPrefix[pi][si]; rt != nil {
-				table[p] = rt
-			}
-		}
-		tables[si] = table
-	})
-	for i, r := range oc.speakers {
-		st.routes[r] = tables[i]
-	}
+	n.publishOSPFColumns(cols)
+	st.cols = cols
 	return st
 }
 

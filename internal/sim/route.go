@@ -102,18 +102,28 @@ func nextHopLess(a, b NextHop) bool {
 // FIB is a router's forwarding table: destination prefix → best route.
 type FIB map[netip.Prefix]*Route
 
-// Lookup performs longest-prefix matching for addr.
+// Lookup performs longest-prefix matching for addr. Every route source
+// installs its prefix masked (interface subnets, parsed and allocated
+// prefixes all are), so the match is a probe of addr's covering prefix
+// at each length, longest first. A FIB with no more entries than there
+// are lengths to probe (a host's LAN and default route) is scanned
+// instead, which is cheaper at that size.
 func (f FIB) Lookup(addr netip.Addr) *Route {
-	var best *Route
-	for _, r := range f {
-		if !r.Prefix.Contains(addr) {
-			continue
+	if len(f) <= addr.BitLen() {
+		var best *Route
+		for _, r := range f {
+			if r.Prefix.Contains(addr) && (best == nil || r.Prefix.Bits() > best.Prefix.Bits()) {
+				best = r
+			}
 		}
-		if best == nil || r.Prefix.Bits() > best.Prefix.Bits() {
-			best = r
+		return best
+	}
+	for b := addr.BitLen(); b >= 0; b-- {
+		if r := f[netip.PrefixFrom(addr, b).Masked()]; r != nil {
+			return r
 		}
 	}
-	return best
+	return nil
 }
 
 // Prefixes returns the FIB's destination prefixes in sorted order.
